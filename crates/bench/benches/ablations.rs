@@ -63,7 +63,10 @@ fn bench_check_levels(c: &mut Criterion) {
             .set_functional(rel, &[item], &[Value::Int(50)])
             .unwrap();
         group.bench_function(BenchmarkId::new(label, N_ITEMS), |b| {
-            b.iter(|| propagate(&net, &catalog, world.db.storage(), level));
+            b.iter(|| {
+                let shared = Default::default();
+                propagate(&net, &catalog, world.db.storage(), level, &shared, None)
+            });
         });
     }
     group.finish();

@@ -42,7 +42,7 @@ use amos_bench::time_secs;
 use amos_core::adaptive::AdaptivePlanner;
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate_adaptive, CheckLevel, ExecStrategy};
+use amos_core::propagate::{propagate, CheckLevel};
 use amos_metrics::{JsonValue, PassMetrics};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
@@ -173,12 +173,11 @@ fn run_pass(
     let mut result = None;
     let prop_secs = time_secs(|| {
         result = Some(
-            propagate_adaptive(
+            propagate(
                 &w.network,
                 &w.catalog,
                 &w.storage,
                 CheckLevel::Nervous,
-                ExecStrategy::Parallel,
                 shared,
                 planner,
             )

@@ -46,12 +46,12 @@ use crate::differ::DiffId;
 use crate::error::CoreError;
 use crate::explain::FiredDifferential;
 use crate::network::PropagationNetwork;
-use crate::shard::{LevelExchange, ShardKey};
 
-/// Below this many exchanged seed tuples a sharded level runs its
-/// shards inline (same partition, same combine order, no threads) —
-/// thread spawn would cost more than the work it distributes.
-const SHARD_INLINE_THRESHOLD: usize = 256;
+/// A level runs its tasks on worker threads only when its wave holds at
+/// least this many Δ-tuples (and it has more than one task). Below it,
+/// spawning scoped threads costs more than the differentials they would
+/// share out: a one-tuple commit's tasks finish in microseconds.
+const THREADED_WAVE_TUPLES: usize = 256;
 
 /// Which §7.2 checks to apply to candidate changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,111 +75,6 @@ impl CheckLevel {
             CheckLevel::Raw => "raw",
             CheckLevel::Nervous => "nervous",
             CheckLevel::Strict => "strict",
-        }
-    }
-}
-
-/// How to execute the differentials of one wave-front level.
-///
-/// Within a level every differential execution is an independent
-/// read-only query: it reads storage and the *current* level's Δ-sets
-/// and writes only to strictly higher-level nodes — and the §7.2
-/// `accept` checks consult storage alone. The parallel strategy exploits
-/// this by snapshotting the wave immutably, running all (node,
-/// differential) tasks concurrently, and merging their accepted batches
-/// *sequentially in serial execution order* — so the resulting Δ-sets
-/// (and all counters) are identical to [`ExecStrategy::Serial`] under
-/// every [`CheckLevel`].
-///
-/// The sharded strategy goes one step further: instead of fanning out
-/// whole tasks over one shared wave, each level runs as a partitioned
-/// exchange — every task's seed Δ-set is hash-partitioned on the
-/// differential's shard key into `workers` worker-owned slices
-/// ([`crate::shard`]), each worker evaluates every task against its own
-/// slice with no cross-worker locks, and the per-(task, shard) outputs
-/// are recombined in (serial task order, shard order) before the same
-/// deterministic merge. Because the slices partition each seed exactly
-/// and within a task all outputs carry one polarity, the merged Δ-sets,
-/// counters, and fired trace are bit-identical to serial execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// One differential at a time, in network order.
-    Serial,
-    /// All differentials of a level concurrently (deterministic merge).
-    #[default]
-    Parallel,
-    /// Each level as a partitioned exchange over `workers` shard-owning
-    /// workers (deterministic re-shard + merge).
-    Sharded {
-        /// Number of shards / worker threads (clamped to at least 1).
-        workers: usize,
-    },
-}
-
-/// A rejected [`ExecStrategy::parse`] input, with the byte span of the
-/// offending part for caret-style CLI diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrategyParseError {
-    /// What was wrong.
-    pub message: String,
-    /// `(byte offset, byte length)` of the offending slice of the input.
-    pub span: (usize, usize),
-}
-
-impl std::fmt::Display for StrategyParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl ExecStrategy {
-    /// Lowercase name for metrics and explain output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecStrategy::Serial => "serial",
-            ExecStrategy::Parallel => "parallel",
-            ExecStrategy::Sharded { .. } => "sharded",
-        }
-    }
-
-    /// Parse a strategy spelling: `serial`, `parallel`, or `sharded:N`
-    /// with `N` in `1..=64`. Errors carry the span of the offending
-    /// input slice so callers can render a pointed diagnostic.
-    pub fn parse(input: &str) -> Result<ExecStrategy, StrategyParseError> {
-        let (head, arg) = match input.find(':') {
-            Some(i) => (&input[..i], Some(&input[i + 1..])),
-            None => (input, None),
-        };
-        let err = |message: String, span: (usize, usize)| Err(StrategyParseError { message, span });
-        match (head, arg) {
-            ("serial", None) => Ok(ExecStrategy::Serial),
-            ("parallel", None) => Ok(ExecStrategy::Parallel),
-            ("serial" | "parallel", Some(_)) => err(
-                format!("strategy `{head}` takes no `:argument`"),
-                (head.len(), input.len() - head.len()),
-            ),
-            ("sharded", None) => err(
-                "strategy `sharded` needs a worker count, e.g. `sharded:4`".to_owned(),
-                (0, input.len()),
-            ),
-            ("sharded", Some(n)) => {
-                let off = head.len() + 1;
-                match n.parse::<usize>() {
-                    Ok(w) if (1..=64).contains(&w) => Ok(ExecStrategy::Sharded { workers: w }),
-                    Ok(w) => err(
-                        format!("worker count {w} out of range 1..=64"),
-                        (off, n.len()),
-                    ),
-                    Err(_) => err(
-                        format!("invalid worker count `{n}` (expected an integer 1..=64)"),
-                        (off, n.len().max(1)),
-                    ),
-                }
-            }
-            _ => err(
-                format!("unknown strategy `{head}`; expected serial, parallel, or sharded:N"),
-                (0, head.len().max(1)),
-            ),
         }
     }
 }
@@ -222,84 +117,65 @@ struct Task {
 
 /// Run one breadth-first bottom-up propagation pass over the network,
 /// reading base-relation Δ-sets from `storage` and returning the
-/// condition-level net changes. Uses the default execution strategy
-/// ([`ExecStrategy::Parallel`]); see [`propagate_with`] to choose.
+/// condition-level net changes.
+///
+/// Per level the pass (1) closes changed self-recursive nodes to their
+/// fixpoints sequentially, (2) executes every remaining (changed node,
+/// out-differential) task against the immutable level-start wave, and
+/// (3) merges the accepted batches sequentially in network order with
+/// `∪Δ`. Step (2) runs inline, or on worker threads when the level has
+/// more than one task and its wave holds at least 256 Δ-tuples.
+/// Within-level tasks never read each other's output (differentials
+/// write only to strictly higher levels) and checks consult storage
+/// only, so the merged Δ-sets, counters and fired order are the same
+/// either way.
+///
+/// `shared` is caller-owned evaluator state (plan cache, old-state
+/// indexes, derived-call memo table): the rule manager keeps one across
+/// passes so plan compilations survive and tabled derived-call results
+/// are shared by every differential of the pass — the paper's
+/// cross-differential sharing, realized at the evaluator level. The
+/// caller is responsible for calling [`EvalShared::reset_pass`] at pass
+/// boundaries (storage changes invalidate per-pass state).
+///
+/// With a `planner`, each level's differential plans are resolved
+/// against the *live* statistics (base cardinalities, column NDVs,
+/// current Δ-set sizes) before the level's tasks run — cached plans are
+/// reused until their statistics fingerprint drifts, at which point the
+/// differential is recompiled under the cardinality-aware cost model.
+/// Resolution is sequential, in serial task order, so it does not
+/// depend on how the level then executes. With `planner == None` each
+/// differential runs its activation-time plan.
 pub fn propagate(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
     check: CheckLevel,
+    shared: &Arc<EvalShared>,
+    planner: Option<&AdaptivePlanner>,
 ) -> Result<PropagationResult, CoreError> {
-    propagate_with(network, catalog, storage, check, ExecStrategy::default())
-}
-
-/// [`propagate`] with an explicit execution strategy.
-///
-/// Both strategies share one code path: per level, (1) close changed
-/// self-recursive nodes to their fixpoints sequentially, (2) execute
-/// every remaining (changed node, out-differential) task — inline or on
-/// a thread pool — against the immutable level-start wave, and (3) merge
-/// the accepted batches sequentially in network order with `∪Δ`. Because
-/// within-level tasks never read each other's output (differentials
-/// write only to strictly higher levels) and checks consult storage
-/// only, the merged Δ-sets are identical under either strategy.
-pub fn propagate_with(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    check: CheckLevel,
-    strategy: ExecStrategy,
-) -> Result<PropagationResult, CoreError> {
-    propagate_shared(
+    propagate_gated(
         network,
         catalog,
         storage,
         check,
-        strategy,
-        &Arc::new(EvalShared::default()),
+        shared,
+        planner,
+        THREADED_WAVE_TUPLES,
     )
 }
 
-/// [`propagate_with`] against caller-owned shared evaluator state
-/// (plan cache, old-state indexes, derived-call memo table).
-///
-/// The rule manager passes a long-lived [`EvalShared`] here so plan
-/// compilations survive across passes and tabled derived-call results
-/// are shared by every differential of the pass — the paper's
-/// cross-differential sharing, realized at the evaluator level. The
-/// caller is responsible for calling [`EvalShared::reset_pass`] at pass
-/// boundaries (storage changes invalidate per-pass state).
-pub fn propagate_shared(
+/// [`propagate`] with the wave-size gate as a parameter: levels with
+/// more than one task and at least `threaded_from` wave tuples run on
+/// worker threads.
+fn propagate_gated(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
     check: CheckLevel,
-    strategy: ExecStrategy,
-    shared: &Arc<EvalShared>,
-) -> Result<PropagationResult, CoreError> {
-    propagate_adaptive(network, catalog, storage, check, strategy, shared, None)
-}
-
-/// [`propagate_shared`] with wave-front re-optimization: when `planner`
-/// is given, each level's differential plans are resolved against the
-/// *live* statistics (base cardinalities, column NDVs, current Δ-set
-/// sizes) before the batch launches — cached plans are reused until
-/// their statistics fingerprint drifts, at which point the differential
-/// is recompiled under the cardinality-aware cost model.
-///
-/// Plan resolution is sequential and happens in serial task order, so
-/// the plans each task executes — and therefore every Δ-set and counter
-/// — are identical under [`ExecStrategy::Serial`] and
-/// [`ExecStrategy::Parallel`]. With `planner == None` this is exactly
-/// the static path: each differential runs its activation-time plan.
-pub fn propagate_adaptive(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    check: CheckLevel,
-    strategy: ExecStrategy,
     shared: &Arc<EvalShared>,
     planner: Option<&AdaptivePlanner>,
+    threaded_from: usize,
 ) -> Result<PropagationResult, CoreError> {
     let pass_timer = Stopwatch::start();
     let hits_before = shared.tabling_hits();
@@ -313,15 +189,7 @@ pub fn propagate_adaptive(
     let replans_before = planner.map_or(0, AdaptivePlanner::replan_count);
     let hits_cache_before = planner.map_or(0, AdaptivePlanner::hit_count);
     let mut result = PropagationResult::default();
-    result.metrics.strategy = strategy.name().to_owned();
     result.metrics.check = check.name().to_owned();
-    let sharded_workers = match strategy {
-        ExecStrategy::Sharded { workers } => Some(workers.max(1)),
-        _ => None,
-    };
-    let mut shard_seed_tuples: Vec<u64> = vec![0; sharded_workers.unwrap_or(0)];
-    let mut shard_candidates: Vec<u64> = vec![0; sharded_workers.unwrap_or(0)];
-    let mut exchange_tuples = 0u64;
 
     // Wave-front Δ-sets, keyed by predicate. Level-0 nodes read straight
     // from storage's accumulated transaction Δ-sets.
@@ -377,8 +245,8 @@ pub fn propagate_adaptive(
         // Gather the level's tasks in serial execution order; self-
         // differentials were consumed by the fixpoint closure above.
         // Adaptive plans are resolved here, sequentially against the
-        // level-start wave, so parallel execution sees the same plans
-        // (and fills the same caches) as serial execution would.
+        // level-start wave, so threaded execution sees the same plans
+        // (and fills the same caches) as inline execution would.
         let mut tasks: Vec<Task> = Vec::new();
         for node in &changed {
             for diff_id in &node.out_diffs {
@@ -398,54 +266,12 @@ pub fn propagate_adaptive(
             }
         }
 
-        // Execute: a partitioned exchange under the sharded strategy,
-        // threads when the parallel strategy and the task count warrant
-        // it, inline otherwise. Either way `wave` is frozen (shared
-        // immutably) for the whole batch.
-        let mut level_shards = 0usize;
-        let mut max_occupancy = 0u64;
-        let mut min_occupancy = 0u64;
-        let (outputs, parallel): (Vec<Result<TaskOutput, CoreError>>, bool) = if let Some(workers) =
-            sharded_workers
-        {
-            // Plan the exchange: each task's seed partitioned on its
-            // shard key against the frozen level-start wave.
-            let routes: Vec<(PredId, Polarity, &ShardKey)> = tasks
-                .iter()
-                .map(|t| {
-                    let d = network.differential(t.diff);
-                    (d.influent, d.seed, network.shard_key(t.diff))
-                })
-                .collect();
-            let exchange = LevelExchange::plan(&routes, &wave, workers);
-            level_shards = workers;
-            max_occupancy = exchange.occupancy().iter().copied().max().unwrap_or(0);
-            min_occupancy = exchange.occupancy().iter().copied().min().unwrap_or(0);
-            for (s, n) in exchange.occupancy().iter().enumerate() {
-                shard_seed_tuples[s] += n;
-            }
-            exchange_tuples += exchange.exchanged();
-            let threaded = workers > 1 && exchange.exchanged() as usize >= SHARD_INLINE_THRESHOLD;
-            let outs = run_tasks_sharded(
-                network,
-                catalog,
-                storage,
-                shared,
-                check,
-                &tasks,
-                &exchange,
-                workers,
-                threaded,
-                &mut shard_candidates,
-            );
-            (outs, threaded)
-        } else {
-            let parallel = strategy == ExecStrategy::Parallel && tasks.len() > 1;
-            // One evaluation context for the whole level, borrowing
-            // the frozen wave; dropped before the merge mutates
-            // `wave`.
+        // Execute against the frozen wave: one evaluation context for
+        // the whole level, dropped before the merge mutates `wave`.
+        let threaded = tasks.len() > 1 && wave_tuples >= threaded_from;
+        let outputs = {
             let ctx = EvalContext::with_shared(storage, catalog, &wave, Arc::clone(shared));
-            let outs = if parallel {
+            if threaded {
                 run_tasks_threaded(network, catalog, &ctx, check, &tasks)
             } else {
                 tasks
@@ -460,9 +286,8 @@ pub fn propagate_adaptive(
                             check,
                         )
                     })
-                    .collect()
-            };
-            (outs, parallel)
+                    .collect::<Vec<_>>()
+            }
         };
 
         result.metrics.levels.push(LevelStats {
@@ -470,10 +295,7 @@ pub fn propagate_adaptive(
             active_nodes: changed.len(),
             wave_tuples,
             tasks: tasks.len(),
-            parallel,
-            shards: level_shards,
-            max_occupancy,
-            min_occupancy,
+            parallel: threaded,
         });
 
         // Merge sequentially, in serial execution order: `∪Δ` into the
@@ -552,47 +374,8 @@ pub fn propagate_adaptive(
             .collect();
     }
     result.metrics.pruned_differentials = network.pruned_count() as u64;
-    if let Some(workers) = sharded_workers {
-        result.metrics.workers = workers;
-        result.metrics.exchange_tuples = exchange_tuples;
-        let total: u64 = shard_seed_tuples.iter().sum();
-        result.metrics.skew = if total == 0 {
-            0.0
-        } else {
-            let max = shard_seed_tuples.iter().copied().max().unwrap_or(0) as f64;
-            max / (total as f64 / workers as f64)
-        };
-        result.metrics.shard_seed_tuples = shard_seed_tuples;
-        result.metrics.shard_candidates = shard_candidates;
-    }
     result.metrics.nanos = pass_timer.elapsed_nanos();
     Ok(result)
-}
-
-/// [`propagate_shared`] consulting a deterministic
-/// [`FaultPlan`](amos_storage::fault::FaultPlan) first: if the plan
-/// schedules a failure for this pass, the pass errors out *before*
-/// touching any wave-front state — modelling an evaluator crash at pass
-/// start, the worst point for the surrounding transaction. Test-only
-/// (the `fault-injection` feature).
-#[cfg(feature = "fault-injection")]
-pub fn propagate_shared_faulted(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    check: CheckLevel,
-    strategy: ExecStrategy,
-    shared: &Arc<EvalShared>,
-    plan: &amos_storage::fault::FaultPlan,
-    planner: Option<&AdaptivePlanner>,
-) -> Result<PropagationResult, CoreError> {
-    if plan.take_propagation_fault() {
-        return Err(CoreError::FaultInjected(format!(
-            "propagation pass (seed {})",
-            plan.seed()
-        )));
-    }
-    propagate_adaptive(network, catalog, storage, check, strategy, shared, planner)
 }
 
 /// Execute one differential against the frozen wave: run its plan, then
@@ -662,9 +445,9 @@ fn run_tasks_threaded(
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // At least two workers even on one hardware thread: the strategy's
-    // contract (frozen wave, per-slot outputs, deterministic merge) must
-    // hold under real concurrency wherever it runs.
+    // At least two workers even on one hardware thread: the threaded
+    // path's contract (frozen wave, per-slot outputs, deterministic
+    // merge) must hold under real concurrency wherever it runs.
     let workers = hw.max(2).min(tasks.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<TaskOutput, CoreError>>>> =
@@ -691,120 +474,6 @@ fn run_tasks_threaded(
     slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap().expect("worker filled its slot"))
-        .collect()
-}
-
-/// Run a level's tasks as a partitioned exchange: worker `w` evaluates
-/// every task against shard `w`'s seed slice, then the per-(task, shard)
-/// outputs are recombined per task in shard order.
-///
-/// The recombined outputs are bit-identical to whole-seed execution:
-/// the slices partition each seed exactly (every candidate descends from
-/// exactly one seed tuple, so the candidate multiset is preserved), and
-/// within one task all accepted tuples carry the same output polarity,
-/// making the `∪Δ` fold over them order-insensitive. Empty slices are
-/// skipped on both the inline and threaded paths — an empty seed
-/// produces nothing.
-///
-/// `shard_candidates[s]` accumulates the candidates produced by shard
-/// `s` (the per-shard work counters surfaced in [`PassMetrics`]).
-#[allow(clippy::too_many_arguments)]
-fn run_tasks_sharded(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    shared: &Arc<EvalShared>,
-    check: CheckLevel,
-    tasks: &[Task],
-    exchange: &LevelExchange,
-    workers: usize,
-    threaded: bool,
-    shard_candidates: &mut [u64],
-) -> Vec<Result<TaskOutput, CoreError>> {
-    let empty_output = || TaskOutput {
-        candidates: 0,
-        accepted: Vec::new(),
-        nanos: 0,
-    };
-    let mut combine = |total: &mut TaskOutput, s: usize, out: TaskOutput| {
-        shard_candidates[s] += out.candidates as u64;
-        total.candidates += out.candidates;
-        total.nanos += out.nanos;
-        total.accepted.extend(out.accepted);
-    };
-    if !threaded {
-        // Inline fallback: same partition, same (task, shard) combine
-        // order, no thread spawn — byte-identical output to the threaded
-        // path.
-        return tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let mut total = empty_output();
-                for (s, slice) in exchange.slices(i).iter().enumerate() {
-                    if slice.is_empty() {
-                        continue;
-                    }
-                    let ctx = EvalContext::with_shared(storage, catalog, slice, Arc::clone(shared));
-                    let out = run_differential(
-                        network,
-                        catalog,
-                        &ctx,
-                        task.diff,
-                        task.plan.as_deref(),
-                        check,
-                    )?;
-                    combine(&mut total, s, out);
-                }
-                Ok(total)
-            })
-            .collect();
-    }
-
-    // One scoped thread per shard; worker `w` owns slice `w` of every
-    // task and writes into per-(task, shard) slots, so the combine below
-    // is independent of completion order.
-    type ShardSlot = Mutex<Option<Result<TaskOutput, CoreError>>>;
-    let slots: Vec<Vec<ShardSlot>> = tasks
-        .iter()
-        .map(|_| (0..workers).map(|_| Mutex::new(None)).collect())
-        .collect();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            scope.spawn(move || {
-                for (i, task) in tasks.iter().enumerate() {
-                    let slice = &exchange.slices(i)[w];
-                    if slice.is_empty() {
-                        continue;
-                    }
-                    let ctx = EvalContext::with_shared(storage, catalog, slice, Arc::clone(shared));
-                    let out = run_differential(
-                        network,
-                        catalog,
-                        &ctx,
-                        task.diff,
-                        task.plan.as_deref(),
-                        check,
-                    );
-                    *slots[i][w].lock().unwrap() = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|task_slots| {
-            let mut total = empty_output();
-            for (s, slot) in task_slots.into_iter().enumerate() {
-                match slot.into_inner().unwrap() {
-                    None => {}
-                    Some(Ok(out)) => combine(&mut total, s, out),
-                    Some(Err(e)) => return Err(e),
-                }
-            }
-            Ok(total)
-        })
         .collect()
 }
 
@@ -965,6 +634,12 @@ mod tests {
         vec![TypeId(0); n]
     }
 
+    /// One pass with fresh evaluator state and static plans.
+    fn run(net: &PropagationNetwork, f: &Fix, check: CheckLevel) -> PropagationResult {
+        let shared = Arc::new(EvalShared::default());
+        propagate(net, &f.catalog, &f.storage, check, &shared, None).unwrap()
+    }
+
     struct Fix {
         storage: Storage,
         catalog: Catalog,
@@ -1016,7 +691,7 @@ mod tests {
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = run(&net, &f, CheckLevel::Strict);
         let dp = &result.condition_deltas[&f.p];
         assert_eq!(
             dp.plus(),
@@ -1045,7 +720,7 @@ mod tests {
         f.storage.delete(f.rr, &tuple![1, 2]).unwrap();
         f.storage.delete(f.rr, &tuple![2, 3]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Nervous).unwrap();
+        let result = run(&net, &f, CheckLevel::Nervous);
         let dp = &result.condition_deltas[&f.p];
         assert_eq!(dp.plus(), &[tuple![1, 4]].into_iter().collect());
         assert_eq!(dp.minus(), &[tuple![1, 2]].into_iter().collect());
@@ -1062,7 +737,7 @@ mod tests {
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rr, tuple![2, 9]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = run(&net, &f, CheckLevel::Strict);
         let truth = recompute_delta(&f.catalog, &f.storage, f.p).unwrap();
         assert_eq!(&result.condition_deltas[&f.p], &truth);
     }
@@ -1074,7 +749,7 @@ mod tests {
         let net =
             PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
         f.storage.begin().unwrap();
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = run(&net, &f, CheckLevel::Strict);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert!(result.fired.is_empty());
         assert_eq!(result.candidates, 0);
@@ -1090,7 +765,7 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rq, tuple![1, 1]).unwrap();
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = run(&net, &f, CheckLevel::Strict);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert_eq!(
             result.candidates, 0,
@@ -1111,14 +786,14 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
 
-        let nervous = propagate(&net, &f.catalog, &f.storage, CheckLevel::Nervous).unwrap();
+        let nervous = run(&net, &f, CheckLevel::Nervous);
         assert!(
             nervous.condition_deltas[&f.p]
                 .plus()
                 .contains(&tuple![1, 2]),
             "nervous over-reports the second derivation"
         );
-        let strict = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let strict = run(&net, &f, CheckLevel::Strict);
         assert!(
             !strict.condition_deltas[&f.p].plus().contains(&tuple![1, 2]),
             "strict suppresses already-true instances"
@@ -1139,7 +814,7 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Nervous).unwrap();
+        let result = run(&net, &f, CheckLevel::Nervous);
         assert!(
             !result.condition_deltas[&f.p]
                 .minus()
@@ -1149,10 +824,11 @@ mod tests {
         assert!(result.rejected > 0, "the check did reject the candidate");
     }
 
-    /// Serial and parallel strategies agree — Δ-sets, counters, and the
-    /// set of fired differentials — under every check level.
+    /// The private executor, forced inline and forced threaded over the
+    /// same level, yields the same Δ-sets, counters and fired order
+    /// under every check level.
     #[test]
-    fn serial_and_parallel_strategies_agree() {
+    fn inline_and_threaded_levels_agree() {
         let mut f = fixture();
         let net =
             PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
@@ -1161,103 +837,114 @@ mod tests {
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
         f.storage.delete(f.rr, &tuple![2, 3]).unwrap();
 
+        let pass = |check, threaded_from| {
+            let shared = Arc::new(EvalShared::default());
+            propagate_gated(
+                &net,
+                &f.catalog,
+                &f.storage,
+                check,
+                &shared,
+                None,
+                threaded_from,
+            )
+            .unwrap()
+        };
+        let fired = |r: &PropagationResult| -> Vec<(DiffId, Vec<Tuple>)> {
+            r.fired
+                .iter()
+                .map(|fd| (fd.diff, fd.tuples.clone()))
+                .collect()
+        };
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let serial =
-                propagate_with(&net, &f.catalog, &f.storage, check, ExecStrategy::Serial).unwrap();
-            let parallel =
-                propagate_with(&net, &f.catalog, &f.storage, check, ExecStrategy::Parallel)
-                    .unwrap();
-            assert_eq!(serial.condition_deltas, parallel.condition_deltas);
-            assert_eq!(serial.candidates, parallel.candidates);
-            assert_eq!(serial.rejected, parallel.rejected);
+            let inline = pass(check, usize::MAX);
+            let threaded = pass(check, 0);
+            assert!(!inline.metrics.levels[0].parallel);
+            assert!(threaded.metrics.levels[0].parallel);
+            assert_eq!(inline.condition_deltas, threaded.condition_deltas);
+            assert_eq!(inline.candidates, threaded.candidates);
+            assert_eq!(inline.rejected, threaded.rejected);
             assert_eq!(
-                serial.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
-                parallel.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
+                fired(&inline),
+                fired(&threaded),
                 "trace order must match serial execution order"
             );
         }
     }
 
-    /// Sharded execution agrees with serial for every worker count and
-    /// check level — Δ-sets, counters, and the fired trace.
+    /// The gate: a level-0 wave one tuple short of the threshold runs
+    /// inline, one at the threshold runs threaded, and both are exact.
     #[test]
-    fn sharded_strategy_agrees_with_serial() {
-        let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
-        f.storage.begin().unwrap();
-        f.storage.insert(f.rq, tuple![1, 2]).unwrap();
-        f.storage.insert(f.rr, tuple![1, 4]).unwrap();
-        f.storage.delete(f.rr, &tuple![2, 3]).unwrap();
-
-        for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let serial =
-                propagate_with(&net, &f.catalog, &f.storage, check, ExecStrategy::Serial).unwrap();
-            for workers in [1, 2, 3, 8] {
-                let sharded = propagate_with(
-                    &net,
-                    &f.catalog,
-                    &f.storage,
-                    check,
-                    ExecStrategy::Sharded { workers },
-                )
-                .unwrap();
-                assert_eq!(serial.condition_deltas, sharded.condition_deltas);
-                assert_eq!(serial.candidates, sharded.candidates);
-                assert_eq!(serial.rejected, sharded.rejected);
-                assert_eq!(
-                    serial.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
-                    sharded.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
-                );
-                // The exchange accounted every seed tuple exactly once
-                // per distinct routing, and occupancy sums to the seeds
-                // consumed per task.
-                let m = &sharded.metrics;
-                assert_eq!(m.strategy, "sharded");
-                assert_eq!(m.workers, workers);
-                assert_eq!(m.shard_seed_tuples.len(), workers);
-                assert!(m.exchange_tuples > 0);
-                assert!(m.skew >= 1.0, "skew {} below balanced floor", m.skew);
-                assert!(m.levels.iter().all(|l| l.shards == workers));
-                let cand: u64 = m.shard_candidates.iter().sum();
-                assert_eq!(cand as usize, sharded.candidates);
+    fn wave_size_gate_threads_only_large_waves() {
+        for n in [THREADED_WAVE_TUPLES - 1, THREADED_WAVE_TUPLES] {
+            let mut f = fixture();
+            let net =
+                PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full)
+                    .unwrap();
+            f.storage.begin().unwrap();
+            // q(1000+i, 1) ∧ r(1,2) ⇒ p(1000+i, 2): n new instances.
+            for i in 0..n as i64 {
+                f.storage.insert(f.rq, tuple![1000 + i, 1]).unwrap();
             }
+            let result = run(&net, &f, CheckLevel::Strict);
+            let level0 = &result.metrics.levels[0];
+            assert_eq!(level0.wave_tuples, n);
+            assert_eq!(level0.tasks, 2, "Δp/Δ₊q and Δp/Δ₋q");
+            assert_eq!(level0.parallel, n >= THREADED_WAVE_TUPLES, "wave of {n}");
+            let truth = recompute_delta(&f.catalog, &f.storage, f.p).unwrap();
+            assert_eq!(truth.plus().len(), n);
+            assert_eq!(result.condition_deltas[&f.p], truth);
         }
     }
 
-    /// Strategy parsing: the accepted grammar and spanned rejections.
+    /// Adaptive plans resolve before the level executes, so across
+    /// committed batches whose growing waves drift the statistics
+    /// fingerprints, an inline and a threaded run make the same replan
+    /// and plan-cache decisions and stay exact.
     #[test]
-    fn strategy_parse_grammar_and_spans() {
-        assert_eq!(ExecStrategy::parse("serial"), Ok(ExecStrategy::Serial));
-        assert_eq!(ExecStrategy::parse("parallel"), Ok(ExecStrategy::Parallel));
-        assert_eq!(
-            ExecStrategy::parse("sharded:4"),
-            Ok(ExecStrategy::Sharded { workers: 4 })
+    fn adaptive_replans_alike_inline_and_threaded() {
+        let mut f = fixture();
+        let net =
+            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let planners = [AdaptivePlanner::new(), AdaptivePlanner::new()];
+        let shared = [
+            Arc::new(EvalShared::default()),
+            Arc::new(EvalShared::default()),
+        ];
+        let mut next = 100i64;
+        for batch in [1i64, 40, 300] {
+            f.storage.begin().unwrap();
+            for _ in 0..batch {
+                f.storage.insert(f.rq, tuple![next, next % 3]).unwrap();
+                f.storage.insert(f.rr, tuple![next % 3, next]).unwrap();
+                next += 1;
+            }
+            let truth = recompute_delta(&f.catalog, &f.storage, f.p).unwrap();
+            let mut deltas = Vec::new();
+            for (i, threaded_from) in [usize::MAX, 0].into_iter().enumerate() {
+                shared[i].reset_pass();
+                let r = propagate_gated(
+                    &net,
+                    &f.catalog,
+                    &f.storage,
+                    CheckLevel::Strict,
+                    &shared[i],
+                    Some(&planners[i]),
+                    threaded_from,
+                )
+                .unwrap();
+                assert_eq!(r.condition_deltas[&f.p], truth, "batch {batch}");
+                deltas.push(r.condition_deltas);
+            }
+            assert_eq!(deltas[0], deltas[1]);
+            f.storage.commit().unwrap();
+        }
+        assert!(
+            planners[0].replan_count() > 0,
+            "the batches drift the stats"
         );
-        assert_eq!(
-            ExecStrategy::parse("sharded:1"),
-            Ok(ExecStrategy::Sharded { workers: 1 })
-        );
-
-        let e = ExecStrategy::parse("turbo").unwrap_err();
-        assert_eq!(e.span, (0, 5));
-        assert!(e.message.contains("unknown strategy `turbo`"));
-
-        let e = ExecStrategy::parse("sharded").unwrap_err();
-        assert_eq!(e.span, (0, 7));
-        assert!(e.message.contains("worker count"));
-
-        let e = ExecStrategy::parse("sharded:0").unwrap_err();
-        assert_eq!(e.span, (8, 1), "span covers the count after the colon");
-        assert!(e.message.contains("out of range"));
-
-        let e = ExecStrategy::parse("sharded:many").unwrap_err();
-        assert_eq!(e.span, (8, 4));
-        assert!(e.message.contains("invalid worker count"));
-
-        let e = ExecStrategy::parse("serial:2").unwrap_err();
-        assert_eq!(e.span, (6, 2));
-        assert!(e.message.contains("takes no"));
+        assert_eq!(planners[0].replan_count(), planners[1].replan_count());
+        assert_eq!(planners[0].hit_count(), planners[1].hit_count());
     }
 
     /// The metrics layer records the pass: per-differential timings in
@@ -1271,9 +958,8 @@ mod tests {
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = run(&net, &f, CheckLevel::Strict);
         let m = &result.metrics;
-        assert_eq!(m.strategy, "parallel");
         assert_eq!(m.check, "strict");
         assert_eq!(m.fired, result.fired.len());
         assert_eq!(m.candidates, result.candidates);
@@ -1285,7 +971,7 @@ mod tests {
         assert_eq!(m.levels[0].active_nodes, 2);
         assert_eq!(m.levels[0].wave_tuples, 2);
         assert_eq!(m.levels[0].tasks, 4);
-        assert!(m.levels[0].parallel);
+        assert!(!m.levels[0].parallel, "a 2-tuple wave runs inline");
         assert_eq!(m.levels[1].active_nodes, 1);
         assert_eq!(m.levels[1].tasks, 0);
         assert_eq!(m.differentials.len(), 4);
@@ -1338,7 +1024,7 @@ mod tests {
 
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![7, 2]).unwrap(); // q(7,2) ∧ r(2,3) ⇒ mid(7,3) ⇒ top(7)
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = run(&net, &f, CheckLevel::Strict);
         assert_eq!(
             result.condition_deltas[&top].plus(),
             &[tuple![7]].into_iter().collect()

@@ -3,16 +3,14 @@
 //! statistics-driven planner (cardinality-aware literal ordering, plan
 //! cache with fingerprint-drift re-optimization, Δ-set index probes)
 //! produces condition Δ-sets identical to the static activation-time
-//! plans — under every §7.2 check level and both execution strategies.
+//! plans — under every §7.2 check level.
 
 use std::sync::Arc;
 
 use amos_core::adaptive::AdaptivePlanner;
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{
-    propagate_adaptive, propagate_with, recompute_delta, CheckLevel, ExecStrategy,
-};
+use amos_core::propagate::{propagate, recompute_delta, CheckLevel};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_objectlog::eval::EvalShared;
@@ -173,12 +171,12 @@ fn apply(w: &mut World, ups: &[(bool, bool, Tuple)]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Adaptive ≡ static condition Δ-sets for every shape, every check
-    /// level, and both execution strategies — with one long-lived
-    /// planner across all six combinations, so later combinations run
-    /// against a warm (possibly drifted) plan cache.
+    /// Adaptive ≡ static condition Δ-sets for every shape and every
+    /// check level — with one long-lived planner across all three
+    /// levels, so later levels run against a warm (possibly drifted)
+    /// plan cache.
     #[test]
-    fn adaptive_equals_static_under_all_checks_and_strategies(
+    fn adaptive_equals_static_under_all_checks(
         shape in 0u8..6,
         q0 in tuples(),
         r0 in tuples(),
@@ -193,73 +191,24 @@ proptest! {
 
         let planner = AdaptivePlanner::new();
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
-                let fixed = propagate_with(
-                    &net, &w.catalog, &w.storage, check, strategy,
-                ).unwrap();
-                let adaptive = propagate_adaptive(
-                    &net, &w.catalog, &w.storage, check, strategy,
-                    &Arc::new(EvalShared::default()), Some(&planner),
-                ).unwrap();
-                prop_assert_eq!(
-                    &fixed.condition_deltas, &adaptive.condition_deltas,
-                    "adaptive diverged from static (shape {}, check {:?}, strategy {:?})",
-                    shape, check, strategy
-                );
-                prop_assert_eq!(
-                    fixed.candidates, adaptive.candidates,
-                    "candidate counts diverged (shape {}, check {:?}, strategy {:?})",
-                    shape, check, strategy
-                );
-            }
-        }
-    }
-
-    /// Adaptive serial ≡ adaptive parallel: plan resolution happens
-    /// sequentially before the batch, so the planner does not break the
-    /// §5 determinism guarantee — Δ-sets, counters, and fired order all
-    /// match, and each strategy resolves the same plans (same replan /
-    /// cache-hit totals from identical warm planners).
-    #[test]
-    fn adaptive_serial_and_parallel_agree(
-        shape in 0u8..6,
-        q0 in tuples(),
-        r0 in tuples(),
-        ups in updates(),
-    ) {
-        let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
-        w.storage.begin().unwrap();
-        apply(&mut w, &ups);
-
-        for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let serial_planner = AdaptivePlanner::new();
-            let parallel_planner = AdaptivePlanner::new();
-            let serial = propagate_adaptive(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial,
-                &Arc::new(EvalShared::default()), Some(&serial_planner),
+            let fixed = propagate(
+                &net, &w.catalog, &w.storage, check,
+                &Arc::new(EvalShared::default()), None,
             ).unwrap();
-            let parallel = propagate_adaptive(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Parallel,
-                &Arc::new(EvalShared::default()), Some(&parallel_planner),
+            let adaptive = propagate(
+                &net, &w.catalog, &w.storage, check,
+                &Arc::new(EvalShared::default()), Some(&planner),
             ).unwrap();
             prop_assert_eq!(
-                &serial.condition_deltas, &parallel.condition_deltas,
-                "Δ-sets diverged (shape {}, check {:?})", shape, check
+                &fixed.condition_deltas, &adaptive.condition_deltas,
+                "adaptive diverged from static (shape {}, check {:?})",
+                shape, check
             );
-            prop_assert_eq!(serial.metrics.candidates, parallel.metrics.candidates);
-            prop_assert_eq!(serial.metrics.rejected, parallel.metrics.rejected);
-            let fired = |r: &amos_core::propagate::PropagationResult| -> Vec<_> {
-                r.fired.iter().map(|f| f.diff).collect()
-            };
-            prop_assert_eq!(fired(&serial), fired(&parallel));
             prop_assert_eq!(
-                serial_planner.replan_count(), parallel_planner.replan_count(),
-                "replan counts diverged (shape {}, check {:?})", shape, check
+                fixed.candidates, adaptive.candidates,
+                "candidate counts diverged (shape {}, check {:?})",
+                shape, check
             );
-            prop_assert_eq!(serial_planner.hit_count(), parallel_planner.hit_count());
         }
     }
 
@@ -285,9 +234,9 @@ proptest! {
             w.storage.begin().unwrap();
             apply(&mut w, ups);
             shared.reset_pass();
-            let result = propagate_adaptive(
+            let result = propagate(
                 &net, &w.catalog, &w.storage, CheckLevel::Strict,
-                ExecStrategy::Parallel, &shared, Some(&planner),
+                &shared, Some(&planner),
             ).unwrap();
             let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
             prop_assert_eq!(

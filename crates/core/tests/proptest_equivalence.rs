@@ -5,14 +5,17 @@
 //!
 //! Shapes exercised: conjunctive joins (the paper's running example),
 //! selections with arithmetic, negation, disjunction (multi-clause),
-//! flat and bushy (intermediate-node) networks, and repeated influent
-//! occurrences (self-joins).
+//! flat and bushy (intermediate-node) networks, repeated influent
+//! occurrences (self-joins), and key-free cartesian products. One suite
+//! adds a bulk transaction whose wave is large enough for propagation to
+//! run the level on worker threads, so random workloads also cross the
+//! threaded merge against the naive oracle.
 
 use std::collections::HashSet;
 
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate, propagate_with, recompute_delta, CheckLevel, ExecStrategy};
+use amos_core::propagate::{propagate, recompute_delta, CheckLevel};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_storage::{RelId, Storage};
@@ -41,7 +44,7 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
     let q = catalog.define_stored("q", sig(2), rq, 1).unwrap();
     let r = catalog.define_stored("r", sig(2), rr, 1).unwrap();
 
-    let cond = match shape % 6 {
+    let cond = match shape % 7 {
         // join: p(X,Z) ← q(X,Y) ∧ r(Y,Z)
         0 => catalog
             .define_derived(
@@ -122,7 +125,7 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
                 .unwrap()
         }
         // self-join: p(X,Z) ← q(X,Y) ∧ q(Y,Z)
-        _ => catalog
+        5 => catalog
             .define_derived(
                 "cond",
                 sig(2),
@@ -130,6 +133,18 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
                     .head([Term::var(0), Term::var(2)])
                     .pred(q, [Term::var(0), Term::var(1)])
                     .pred(q, [Term::var(1), Term::var(2)])
+                    .build()],
+            )
+            .unwrap(),
+        // cartesian product: p(X,W) ← q(X,_) ∧ r(_,W) — no join key
+        _ => catalog
+            .define_derived(
+                "cond",
+                sig(2),
+                vec![ClauseBuilder::new(4)
+                    .head([Term::var(0), Term::var(3)])
+                    .pred(q, [Term::var(0), Term::var(1)])
+                    .pred(r, [Term::var(2), Term::var(3)])
                     .build()],
             )
             .unwrap(),
@@ -164,13 +179,29 @@ fn updates() -> impl Strategy<Value = Vec<(bool, bool, Tuple)>> {
     prop::collection::vec((any::<bool>(), any::<bool>(), small_tuple()), 0..15)
 }
 
+/// Propagation runs a level on worker threads once its wave holds this
+/// many Δ-tuples (the private `THREADED_WAVE_TUPLES` gate).
+const THREADED_WAVE: usize = 256;
+
+/// A bulk transaction reaching the threaded gate on its own: `q`
+/// insertions `(100 + i, y)` with distinct keys and join values `y`
+/// drawn from the small domain, so they join the random base data.
+fn bulk() -> impl Strategy<Value = Vec<Tuple>> {
+    prop::collection::vec(0i64..5, THREADED_WAVE..THREADED_WAVE + 64).prop_map(|ys| {
+        ys.into_iter()
+            .enumerate()
+            .map(|(i, y)| tuple![100 + i as i64, y])
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Strict propagation == naive recomputation for every shape.
     #[test]
     fn incremental_equals_naive(
-        shape in 0u8..6,
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -190,7 +221,9 @@ proptest! {
             }
         }
 
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate(
+            &net, &w.catalog, &w.storage, CheckLevel::Strict, &Default::default(), None,
+        ).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
         prop_assert_eq!(
             &result.condition_deltas[&w.cond], &truth,
@@ -203,7 +236,7 @@ proptest! {
     /// real deletions are reported.
     #[test]
     fn nervous_never_under_reacts(
-        shape in 0u8..6,
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -221,7 +254,9 @@ proptest! {
                 w.storage.delete(rel, t).unwrap();
             }
         }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Nervous).unwrap();
+        let result = propagate(
+            &net, &w.catalog, &w.storage, CheckLevel::Nervous, &Default::default(), None,
+        ).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
         let got = &result.condition_deltas[&w.cond];
 
@@ -241,7 +276,7 @@ proptest! {
     /// InsertionsOnly scope (half the differentials) is still exact.
     #[test]
     fn insertions_only_scope_exact_for_monotone(
-        shape in prop::sample::select(vec![0u8, 1, 3, 4, 5]), // no negation
+        shape in prop::sample::select(vec![0u8, 1, 3, 4, 5, 6]), // no negation
         q0 in tuples(),
         r0 in tuples(),
         ins in prop::collection::vec((any::<bool>(), small_tuple()), 0..10),
@@ -255,22 +290,25 @@ proptest! {
             let rel = if *on_q { w.rq } else { w.rr };
             w.storage.insert(rel, t.clone()).unwrap();
         }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate(
+            &net, &w.catalog, &w.storage, CheckLevel::Strict, &Default::default(), None,
+        ).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
         prop_assert_eq!(&result.condition_deltas[&w.cond], &truth);
     }
 
-    /// Parallel wave-front execution is an implementation detail: for
-    /// every condition shape, every §7.2 check level, and random update
-    /// batches, the serial and parallel strategies produce identical
-    /// condition Δ-sets (and identical work counters — same candidates,
-    /// same rejections — since the merge replays serial order).
+    /// A bulk transaction (random updates plus a wave of at least
+    /// `THREADED_WAVE` insertions) runs level 0 on worker threads, and
+    /// the threaded merge still matches the naive oracle: strict is
+    /// exact, nervous never under-reacts and reports only real
+    /// deletions.
     #[test]
-    fn serial_and_parallel_agree_under_all_check_levels(
-        shape in 0u8..6,
+    fn bulk_waves_cross_the_threaded_merge(
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
+        bulk in bulk(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
         let net = PropagationNetwork::build(
@@ -285,32 +323,28 @@ proptest! {
                 w.storage.delete(rel, t).unwrap();
             }
         }
-        for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let serial = propagate_with(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial,
+        for t in &bulk {
+            w.storage.insert(w.rq, t.clone()).unwrap();
+        }
+        let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
+        for check in [CheckLevel::Nervous, CheckLevel::Strict] {
+            let result = propagate(
+                &net, &w.catalog, &w.storage, check, &Default::default(), None,
             ).unwrap();
-            let parallel = propagate_with(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Parallel,
-            ).unwrap();
-            prop_assert_eq!(
-                &serial.condition_deltas, &parallel.condition_deltas,
-                "Δ-sets diverged (shape {}, check {:?})", shape, check
+            prop_assert!(
+                result.metrics.levels[0].parallel,
+                "level 0 ran inline (shape {}, wave {})",
+                shape, result.metrics.levels[0].wave_tuples
             );
-            prop_assert_eq!(
-                serial.metrics.candidates, parallel.metrics.candidates,
-                "candidate counts diverged (shape {}, check {:?})", shape, check
-            );
-            prop_assert_eq!(
-                serial.metrics.rejected, parallel.metrics.rejected,
-                "rejection counts diverged (shape {}, check {:?})", shape, check
-            );
-            let fired = |r: &amos_core::propagate::PropagationResult| -> Vec<_> {
-                r.fired.iter().map(|f| f.diff).collect()
-            };
-            prop_assert_eq!(
-                fired(&serial), fired(&parallel),
-                "fired order diverged (shape {}, check {:?})", shape, check
-            );
+            let got = &result.condition_deltas[&w.cond];
+            if check == CheckLevel::Strict {
+                prop_assert_eq!(got, &truth, "shape {} diverged", shape);
+            } else {
+                for t in truth.plus() {
+                    prop_assert!(got.plus().contains(t), "missed insertion {t} (shape {shape})");
+                }
+                prop_assert_eq!(got.minus(), truth.minus(), "shape {} deletions", shape);
+            }
         }
     }
 
@@ -319,7 +353,7 @@ proptest! {
     /// exactly where it started.
     #[test]
     fn rollback_restores_condition(
-        shape in 0u8..6,
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),

@@ -6,13 +6,16 @@
 //! hash head. For random condition shapes and update transactions the
 //! propagated condition Δ-sets, the work counters, and the fired order
 //! must be bit-identical between the two layouts across every §7.2
-//! check level × execution strategy.
+//! check level.
 
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate_with, CheckLevel, ExecStrategy, PropagationResult};
+use std::sync::Arc;
+
+use amos_core::propagate::{propagate, CheckLevel, PropagationResult};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
+use amos_objectlog::eval::EvalShared;
 use amos_storage::{RelId, Storage};
 use amos_types::{tuple, Tuple, TypeId};
 use proptest::prelude::*;
@@ -165,34 +168,34 @@ proptest! {
         }
 
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            for strat in [ExecStrategy::Serial, ExecStrategy::Parallel] {
-                let a = propagate_with(
-                    &lsm_net, &lsm.catalog, &lsm.storage, check, strat,
-                ).unwrap();
-                let b = propagate_with(
-                    &hash_net, &hash.catalog, &hash.storage, check, strat,
-                ).unwrap();
-                prop_assert_eq!(
-                    &a.condition_deltas, &b.condition_deltas,
-                    "Δ-sets diverged (shape {}, thr {}, {:?}/{:?})",
-                    shape, threshold, check, strat
-                );
-                prop_assert_eq!(
-                    a.metrics.candidates, b.metrics.candidates,
-                    "candidates diverged (shape {}, thr {}, {:?}/{:?})",
-                    shape, threshold, check, strat
-                );
-                prop_assert_eq!(
-                    a.metrics.rejected, b.metrics.rejected,
-                    "rejections diverged (shape {}, thr {}, {:?}/{:?})",
-                    shape, threshold, check, strat
-                );
-                prop_assert_eq!(
-                    fired_diffs(&a), fired_diffs(&b),
-                    "fired order diverged (shape {}, thr {}, {:?}/{:?})",
-                    shape, threshold, check, strat
-                );
-            }
+            let a = propagate(
+                &lsm_net, &lsm.catalog, &lsm.storage, check,
+                &Arc::new(EvalShared::default()), None,
+            ).unwrap();
+            let b = propagate(
+                &hash_net, &hash.catalog, &hash.storage, check,
+                &Arc::new(EvalShared::default()), None,
+            ).unwrap();
+            prop_assert_eq!(
+                &a.condition_deltas, &b.condition_deltas,
+                "Δ-sets diverged (shape {}, thr {}, {:?})",
+                shape, threshold, check
+            );
+            prop_assert_eq!(
+                a.metrics.candidates, b.metrics.candidates,
+                "candidates diverged (shape {}, thr {}, {:?})",
+                shape, threshold, check
+            );
+            prop_assert_eq!(
+                a.metrics.rejected, b.metrics.rejected,
+                "rejections diverged (shape {}, thr {}, {:?})",
+                shape, threshold, check
+            );
+            prop_assert_eq!(
+                fired_diffs(&a), fired_diffs(&b),
+                "fired order diverged (shape {}, thr {}, {:?})",
+                shape, threshold, check
+            );
         }
 
         // Rolling back run-resident state restores the pre-transaction

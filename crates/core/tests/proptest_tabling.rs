@@ -2,8 +2,7 @@
 //! random condition shapes, and random update transactions, propagation
 //! with the derived-call memo table enabled produces bit-identical
 //! condition Δ-sets (and identical work counters) to propagation with
-//! tabling disabled — under every §7.2 check level and both execution
-//! strategies.
+//! tabling disabled — under every §7.2 check level.
 //!
 //! The memo is safe because storage is frozen for the duration of a
 //! check phase and derived-predicate source clauses never contain
@@ -13,7 +12,7 @@
 
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate_shared, CheckLevel, ExecStrategy};
+use amos_core::propagate::{propagate, CheckLevel};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_objectlog::eval::{EvalConfig, EvalShared};
@@ -205,11 +204,11 @@ proptest! {
             }
         }
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let tabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(true),
+            let tabled = propagate(
+                &net, &w.catalog, &w.storage, check, &shared(true), None,
             ).unwrap();
-            let untabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(false),
+            let untabled = propagate(
+                &net, &w.catalog, &w.storage, check, &shared(false), None,
             ).unwrap();
             prop_assert_eq!(
                 &tabled.condition_deltas, &untabled.condition_deltas,
@@ -237,42 +236,6 @@ proptest! {
             prop_assert_eq!(
                 untabled.metrics.tabling_misses, 0,
                 "untabled run recorded memo misses (shape {}, check {:?})", shape, check
-            );
-        }
-    }
-
-    /// Tabled parallel ≡ untabled serial: the memo table composes with
-    /// the parallel wave-front without changing semantics.
-    #[test]
-    fn tabled_parallel_equals_untabled_serial(
-        shape in 0u8..6,
-        q0 in tuples(),
-        r0 in tuples(),
-        ups in updates(),
-    ) {
-        let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
-        w.storage.begin().unwrap();
-        for (on_q, is_insert, t) in &ups {
-            let rel = if *on_q { w.rq } else { w.rr };
-            if *is_insert {
-                w.storage.insert(rel, t.clone()).unwrap();
-            } else {
-                w.storage.delete(rel, t).unwrap();
-            }
-        }
-        for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let tabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Parallel, &shared(true),
-            ).unwrap();
-            let untabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(false),
-            ).unwrap();
-            prop_assert_eq!(
-                &tabled.condition_deltas, &untabled.condition_deltas,
-                "Δ-sets diverged (shape {}, check {:?})", shape, check
             );
         }
     }
@@ -305,15 +268,15 @@ proptest! {
             // First pass on the reused state, then a second with stale
             // memo entries cleared — both must match a fresh shared.
             reused.reset_pass();
-            let warm = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &reused,
+            let warm = propagate(
+                &net, &w.catalog, &w.storage, check, &reused, None,
             ).unwrap();
             reused.reset_pass();
-            let again = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &reused,
+            let again = propagate(
+                &net, &w.catalog, &w.storage, check, &reused, None,
             ).unwrap();
-            let fresh = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(true),
+            let fresh = propagate(
+                &net, &w.catalog, &w.storage, check, &shared(true), None,
             ).unwrap();
             prop_assert_eq!(&warm.condition_deltas, &fresh.condition_deltas);
             prop_assert_eq!(&again.condition_deltas, &fresh.condition_deltas);

@@ -78,7 +78,15 @@ fn inserting_an_edge_extends_closure_incrementally() {
     w.storage.begin().unwrap();
     // Bridge the two components: 2 → 3 adds 1→3, 1→4, 2→3, 2→4.
     w.storage.insert(w.re, tuple![2, 3]).unwrap();
-    let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+    let result = propagate(
+        &net,
+        &w.catalog,
+        &w.storage,
+        CheckLevel::Strict,
+        &Default::default(),
+        None,
+    )
+    .unwrap();
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
     assert_eq!(&result.condition_deltas[&w.reach], &truth);
     let expected: HashSet<Tuple> = [tuple![2, 3], tuple![2, 4], tuple![1, 3], tuple![1, 4]]
@@ -96,7 +104,15 @@ fn deleting_an_edge_falls_back_to_exact_recompute() {
     w.storage.begin().unwrap();
     // Cut the chain in the middle: everything crossing 2→3 disappears.
     w.storage.delete(w.re, &tuple![2, 3]).unwrap();
-    let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+    let result = propagate(
+        &net,
+        &w.catalog,
+        &w.storage,
+        CheckLevel::Strict,
+        &Default::default(),
+        None,
+    )
+    .unwrap();
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
     assert_eq!(&result.condition_deltas[&w.reach], &truth);
     let expected: HashSet<Tuple> = [tuple![2, 3], tuple![2, 4], tuple![1, 3], tuple![1, 4]]
@@ -112,7 +128,15 @@ fn cycle_creation_terminates_and_is_exact() {
         PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach], DiffScope::Full).unwrap();
     w.storage.begin().unwrap();
     w.storage.insert(w.re, tuple![3, 1]).unwrap(); // close the cycle
-    let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+    let result = propagate(
+        &net,
+        &w.catalog,
+        &w.storage,
+        CheckLevel::Strict,
+        &Default::default(),
+        None,
+    )
+    .unwrap();
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
     assert_eq!(&result.condition_deltas[&w.reach], &truth);
     // All 9 pairs now reachable; 2 were already (1→2, 2→3), 1→3 too.
@@ -138,7 +162,15 @@ fn randomized_transactions_match_recompute() {
                 w.storage.delete(w.re, &tuple![a, b]).unwrap();
             }
         }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate(
+            &net,
+            &w.catalog,
+            &w.storage,
+            CheckLevel::Strict,
+            &Default::default(),
+            None,
+        )
+        .unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
         assert_eq!(&result.condition_deltas[&w.reach], &truth);
         w.storage.commit().unwrap();
@@ -167,7 +199,9 @@ proptest! {
                 w.storage.delete(w.re, &tuple![a, b]).unwrap();
             }
         }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate(
+            &net, &w.catalog, &w.storage, CheckLevel::Strict, &Default::default(), None,
+        ).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
         prop_assert_eq!(&result.condition_deltas[&w.reach], &truth);
     }

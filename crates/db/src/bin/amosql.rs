@@ -18,7 +18,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use amos_db::{Amos, ExecResult, ExecStrategy, LintConfig, Severity, WalConfig};
+use amos_db::{Amos, ExecResult, LintConfig, Severity, WalConfig};
 
 const BANNER: &str = "\
 amos-pdiff interactive shell — AMOSQL subset
@@ -33,9 +33,7 @@ Shell commands:
   .quit                 exit
 Flags: --wal-dir <dir> makes commits durable (replays any existing
 snapshot + WAL from <dir> on startup); --static-plans disables
-statistics-driven adaptive differential planning; --strategy
-<serial|parallel|sharded:N> picks the propagation execution strategy
-(sharded:N partitions each wave-front level across N workers).
+statistics-driven adaptive differential planning.
 Subcommands: `amosql lint [--deny-lints] [--format text|json]
 <file.osql>...` statically analyzes scripts (safety, stratification,
 termination, dead differentials, unsatisfiable conditions, type
@@ -99,24 +97,8 @@ fn main() -> io::Result<()> {
                 }
             }
             "--static-plans" => db.set_adaptive_planning(false),
-            "--strategy" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--strategy requires a value: serial, parallel, or sharded:N");
-                    std::process::exit(2);
-                };
-                match ExecStrategy::parse(&value) {
-                    Ok(strategy) => db.set_propagation_strategy(strategy),
-                    Err(e) => {
-                        eprint!("{}", render_strategy_error(&value, &e));
-                        std::process::exit(2);
-                    }
-                }
-            }
             other => {
-                eprintln!(
-                    "unknown flag `{other}` (supported: --wal-dir <dir>, --static-plans, \
-                     --strategy <serial|parallel|sharded:N>)"
-                );
+                eprintln!("unknown flag `{other}` (supported: --wal-dir <dir>, --static-plans)");
                 std::process::exit(2);
             }
         }
@@ -154,19 +136,6 @@ fn main() -> io::Result<()> {
         prompt(&buffer)?;
     }
     Ok(())
-}
-
-/// Caret-style diagnostic for a rejected `--strategy` value, pointing
-/// at the offending slice of the input.
-fn render_strategy_error(value: &str, e: &amos_db::StrategyParseError) -> String {
-    let (start, len) = e.span;
-    let prefix = "  --strategy ";
-    format!(
-        "error: invalid --strategy: {}\n{prefix}{value}\n{}{}\n",
-        e.message,
-        " ".repeat(prefix.len() + value[..start.min(value.len())].chars().count()),
-        "^".repeat(len.max(1)),
-    )
 }
 
 /// `amosql lint [--deny-lints] [--format text|json] <file.osql>…` —

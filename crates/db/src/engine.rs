@@ -11,7 +11,6 @@ use amos_amosql::parser::parse_spanned;
 use amos_amosql::ParseError;
 use amos_core::aggregate::{AggFn, AggregateView};
 use amos_core::maintained::{MaintainedAggregate, SourceDeltas, UserView};
-use amos_core::propagate::ExecStrategy;
 use amos_core::rules::{
     ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics, StrategyPin,
 };
@@ -52,11 +51,6 @@ pub struct EngineOptions {
     /// update statement instead of deferring to commit. The calculus is
     /// identical; only the check-phase timing changes.
     pub immediate: bool,
-    /// Wave-front execution strategy for propagation passes (parallel
-    /// by default; serial retained for the ablation benches; sharded
-    /// runs each level as a hash-partitioned exchange over `workers`
-    /// shard-owning threads).
-    pub propagation: ExecStrategy,
     /// Per-pass tabling of derived-call results (on by default; the
     /// `--no-tabling` bench flag disables it for ablation runs).
     pub tabling: bool,
@@ -89,7 +83,6 @@ impl Default for EngineOptions {
             network_prep: NetworkPrep::default(),
             default_semantics: RuleSemantics::default(),
             immediate: false,
-            propagation: ExecStrategy::default(),
             tabling: true,
             adaptive: true,
             lint_level: LintConfig::default(),
@@ -173,7 +166,6 @@ impl Amos {
     /// A fresh database with the given options.
     pub fn with_options(options: EngineOptions) -> Self {
         let mut rules = RuleManager::new();
-        rules.exec = options.propagation;
         if !options.tabling {
             rules.set_eval_config(EvalConfig {
                 tabling: false,
@@ -352,13 +344,6 @@ impl Amos {
     /// naive / hybrid). Takes effect from the next activation or check.
     pub fn set_monitor_mode(&mut self, mode: MonitorMode) {
         self.rules.mode = mode;
-    }
-
-    /// Switch the wave-front execution strategy (parallel / serial /
-    /// sharded). Takes effect from the next propagation pass.
-    pub fn set_propagation_strategy(&mut self, strategy: ExecStrategy) {
-        self.options.propagation = strategy;
-        self.rules.exec = strategy;
     }
 
     /// Switch the §7.2 correction-check level used by propagation passes
@@ -802,7 +787,7 @@ impl Amos {
                     .activate(id, params.clone(), &self.catalog, &mut self.storage)?;
                 // Conformance gate: the rebuilt network must agree with
                 // the differencing calculus (one Δ₊/Δ₋ per influent
-                // occurrence, monotone levels, consistent shard keys).
+                // occurrence, monotone levels).
                 // A violation means the compiler produced a network that
                 // could lose or double-count updates — roll the
                 // activation back rather than monitor with it.

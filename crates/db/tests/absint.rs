@@ -6,7 +6,6 @@
 //! `monitor rule … naive|incremental|auto` strategy pin.
 
 use amos_core::hybrid::Strategy;
-use amos_core::propagate::ExecStrategy;
 use amos_db::engine::NetworkPrep;
 use amos_db::{
     Amos, CheckLevel, DbError, EngineOptions, LintCode, LintConfig, MonitorMode, Severity,
@@ -37,11 +36,10 @@ const BANDED: &str = r#"
         do print(i);
 "#;
 
-fn banded_db(semantic: bool, strategy: ExecStrategy) -> Amos {
+fn banded_db(semantic: bool) -> Amos {
     let mut db = Amos::with_options(EngineOptions {
         network_prep: NetworkPrep::Bushy,
         semantic_pruning: semantic,
-        propagation: strategy,
         ..EngineOptions::default()
     });
     quiet(&mut db);
@@ -55,7 +53,7 @@ fn banded_db(semantic: bool, strategy: ExecStrategy) -> Amos {
 
 #[test]
 fn semantic_pruning_drops_provably_empty_differentials() {
-    let mut db = banded_db(true, ExecStrategy::Parallel);
+    let mut db = banded_db(true);
     db.execute("create item instances :a; activate watch();")
         .unwrap();
     let pruned = db.rules().network().pruned_semantic();
@@ -65,7 +63,7 @@ fn semantic_pruning_drops_provably_empty_differentials() {
         db.rules().network().render(db.catalog())
     );
 
-    let mut db = banded_db(false, ExecStrategy::Parallel);
+    let mut db = banded_db(false);
     db.execute("create item instances :a; activate watch();")
         .unwrap();
     assert!(db.rules().network().pruned_semantic().is_empty());
@@ -76,13 +74,13 @@ proptest! {
 
     /// L007 pruning must be invisible: run a random update workload
     /// with and without semantic pruning and compare every commit's
-    /// `CheckSummary` across all check levels × execution strategies.
+    /// `CheckSummary` across all check levels.
     #[test]
     fn semantic_pruning_preserves_semantics(
         updates in proptest::collection::vec((0usize..3, -20i64..120), 1..8),
     ) {
-        let run = |semantic: bool, check: CheckLevel, strategy: ExecStrategy| {
-            let mut db = banded_db(semantic, strategy);
+        let run = |semantic: bool, check: CheckLevel| {
+            let mut db = banded_db(semantic);
             db.set_check_level(check);
             db.execute("create item instances :a, :b, :c; activate watch();")
                 .unwrap();
@@ -103,21 +101,9 @@ proptest! {
             summaries
         };
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            for strategy in [
-                ExecStrategy::Serial,
-                ExecStrategy::Parallel,
-                ExecStrategy::Sharded { workers: 3 },
-            ] {
-                let unpruned = run(false, check, strategy);
-                let pruned = run(true, check, strategy);
-                prop_assert_eq!(
-                    &unpruned,
-                    &pruned,
-                    "summaries diverged at {:?}/{:?}",
-                    check,
-                    strategy
-                );
-            }
+            let unpruned = run(false, check);
+            let pruned = run(true, check);
+            prop_assert_eq!(&unpruned, &pruned, "summaries diverged at {:?}", check);
         }
     }
 }
@@ -150,7 +136,7 @@ fn inventory_schema_passes_the_conformance_gate() {
 /// as missing, refuse the activation, and roll it back.
 #[test]
 fn conformance_gate_rolls_back_a_refused_activation() {
-    let mut db = banded_db(true, ExecStrategy::Parallel);
+    let mut db = banded_db(true);
     db.options.semantic_pruning = false; // verifier loses the entitlement
     db.execute("create item instances :a;").unwrap();
     let err = db.execute("activate watch();").unwrap_err();

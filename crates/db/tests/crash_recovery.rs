@@ -5,8 +5,7 @@
 //!
 //! * recovers a fresh engine from the WAL and asserts it is
 //!   tuple-identical to the engine that never crashed — under every
-//!   `CheckLevel` (raw/nervous/strict) and `ExecStrategy`
-//!   (serial/parallel);
+//!   `CheckLevel` (raw/nervous/strict);
 //! * simulates a crash at **every byte offset** of the WAL, recovers,
 //!   and asserts the recovered relations match an independent replay of
 //!   the surviving (CRC-complete) batches — the prefix-durability and
@@ -21,7 +20,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use amos_core::propagate::ExecStrategy;
 use amos_db::{Amos, CheckLevel, ExecResult, MonitorMode, Tuple, WalConfig};
 use amos_storage::{read_wal_bytes, LogOp, WAL_FILE};
 use rand::rngs::StdRng;
@@ -71,10 +69,9 @@ fn copy_wal(from: &Path, name: &str) -> PathBuf {
 
 /// Engine with the config applied, the WAL attached, and the schema
 /// loaded (which adopts any recovered relations). No instances yet.
-fn mk_engine(dir: &Path, level: CheckLevel, strategy: ExecStrategy, mode: MonitorMode) -> Amos {
+fn mk_engine(dir: &Path, level: CheckLevel, mode: MonitorMode) -> Amos {
     let mut db = Amos::new();
     db.set_check_level(level);
-    db.set_propagation_strategy(strategy);
     db.set_monitor_mode(mode);
     db.attach_wal(dir, WalConfig::default()).unwrap();
     db.execute(SCHEMA).unwrap();
@@ -83,8 +80,8 @@ fn mk_engine(dir: &Path, level: CheckLevel, strategy: ExecStrategy, mode: Monito
 
 /// A fully populated engine with the rule active. On a recovery dir the
 /// item interface variables are rebound from the recovered extent.
-fn build(dir: &Path, level: CheckLevel, strategy: ExecStrategy, mode: MonitorMode) -> Amos {
-    let mut db = mk_engine(dir, level, strategy, mode);
+fn build(dir: &Path, level: CheckLevel, mode: MonitorMode) -> Amos {
+    let mut db = mk_engine(dir, level, mode);
     let items = db.query("select i for each item i;").unwrap();
     if items.is_empty() {
         db.execute(POPULATE).unwrap();
@@ -139,37 +136,31 @@ fn all_relations(db: &Amos) -> BTreeMap<String, BTreeSet<Tuple>> {
 #[test]
 fn recovered_engine_matches_uncrashed_engine_for_each_config() {
     let levels = [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict];
-    let strategies = [ExecStrategy::Serial, ExecStrategy::Parallel];
     for (li, level) in levels.into_iter().enumerate() {
-        for (si, strategy) in strategies.into_iter().enumerate() {
-            let tag = format!("cfg{li}{si}");
-            let dir = tmpdir(&tag);
-            let seed = 1000 + (li * 2 + si) as u64;
+        let tag = format!("cfg{li}");
+        let dir = tmpdir(&tag);
+        let seed = 1000 + (li * 2) as u64;
 
-            let mut live = build(&dir, level, strategy, MonitorMode::Incremental);
-            let mut rng = StdRng::seed_from_u64(seed);
-            run_txns(&mut live, &mut rng, 10);
+        let mut live = build(&dir, level, MonitorMode::Incremental);
+        let mut rng = StdRng::seed_from_u64(seed);
+        run_txns(&mut live, &mut rng, 10);
 
-            // "Crash": recover a fresh engine from a copy of the WAL.
-            let rdir = copy_wal(&dir, &format!("{tag}-rec"));
-            let mut recovered = build(&rdir, level, strategy, MonitorMode::Incremental);
-            assert_eq!(
-                all_relations(&recovered),
-                all_relations(&live),
-                "{level:?}/{strategy:?}: recovered state must equal the uncrashed engine"
-            );
+        // "Crash": recover a fresh engine from a copy of the WAL.
+        let rdir = copy_wal(&dir, &format!("{tag}-rec"));
+        let mut recovered = build(&rdir, level, MonitorMode::Incremental);
+        assert_eq!(
+            all_relations(&recovered),
+            all_relations(&live),
+            "{level:?}: recovered state must equal the uncrashed engine"
+        );
 
-            // Both engines must behave identically from here on.
-            let mut rng_a = StdRng::seed_from_u64(seed + 7);
-            let mut rng_b = StdRng::seed_from_u64(seed + 7);
-            let fired_live = run_txns(&mut live, &mut rng_a, 4);
-            let fired_rec = run_txns(&mut recovered, &mut rng_b, 4);
-            assert_eq!(
-                fired_rec, fired_live,
-                "{level:?}/{strategy:?}: probe firings"
-            );
-            assert_eq!(all_relations(&recovered), all_relations(&live));
-        }
+        // Both engines must behave identically from here on.
+        let mut rng_a = StdRng::seed_from_u64(seed + 7);
+        let mut rng_b = StdRng::seed_from_u64(seed + 7);
+        let fired_live = run_txns(&mut live, &mut rng_a, 4);
+        let fired_rec = run_txns(&mut recovered, &mut rng_b, 4);
+        assert_eq!(fired_rec, fired_live, "{level:?}: probe firings");
+        assert_eq!(all_relations(&recovered), all_relations(&live));
     }
 }
 
@@ -177,12 +168,7 @@ fn recovered_engine_matches_uncrashed_engine_for_each_config() {
 fn crash_at_every_wal_offset_recovers_the_durable_prefix() {
     let dir = tmpdir("sweep");
     {
-        let mut db = build(
-            &dir,
-            CheckLevel::Nervous,
-            ExecStrategy::Parallel,
-            MonitorMode::Incremental,
-        );
+        let mut db = build(&dir, CheckLevel::Nervous, MonitorMode::Incremental);
         let mut rng = StdRng::seed_from_u64(99);
         run_txns(&mut db, &mut rng, 8);
     }
@@ -219,12 +205,7 @@ fn crash_at_every_wal_offset_recovers_the_durable_prefix() {
 
         // Schema-only recovery: POPULATE must not run here — it would
         // re-insert instances and diverge from the durable prefix.
-        let recovered = mk_engine(
-            &crash_dir,
-            CheckLevel::Nervous,
-            ExecStrategy::Parallel,
-            MonitorMode::Incremental,
-        );
+        let recovered = mk_engine(&crash_dir, CheckLevel::Nervous, MonitorMode::Incremental);
         for (name, tuples) in all_relations(&recovered) {
             let expect = oracle.get(&name).cloned().unwrap_or_default();
             assert_eq!(
@@ -237,12 +218,7 @@ fn crash_at_every_wal_offset_recovers_the_durable_prefix() {
     // Make sure a recovered engine is actually usable after a torn cut.
     let torn_cut = bytes.len() - 3;
     std::fs::write(crash_dir.join(WAL_FILE), &bytes[..torn_cut]).unwrap();
-    let mut recovered = build(
-        &crash_dir,
-        CheckLevel::Nervous,
-        ExecStrategy::Parallel,
-        MonitorMode::Incremental,
-    );
+    let mut recovered = build(&crash_dir, CheckLevel::Nervous, MonitorMode::Incremental);
     let mut rng = StdRng::seed_from_u64(5);
     run_txns(&mut recovered, &mut rng, 2);
 }
@@ -256,25 +232,15 @@ fn recovered_incremental_agrees_with_naive_oracle() {
         let tag = format!("oracle{i}");
         let dir = tmpdir(&tag);
         {
-            let mut db = build(
-                &dir,
-                level,
-                ExecStrategy::Parallel,
-                MonitorMode::Incremental,
-            );
+            let mut db = build(&dir, level, MonitorMode::Incremental);
             let mut rng = StdRng::seed_from_u64(7 + i as u64);
             run_txns(&mut db, &mut rng, 8);
         }
 
         let inc_dir = copy_wal(&dir, &format!("{tag}-inc"));
         let naive_dir = copy_wal(&dir, &format!("{tag}-naive"));
-        let mut inc = build(
-            &inc_dir,
-            level,
-            ExecStrategy::Parallel,
-            MonitorMode::Incremental,
-        );
-        let mut naive = build(&naive_dir, level, ExecStrategy::Serial, MonitorMode::Naive);
+        let mut inc = build(&inc_dir, level, MonitorMode::Incremental);
+        let mut naive = build(&naive_dir, level, MonitorMode::Naive);
         assert_eq!(all_relations(&inc), all_relations(&naive));
 
         // Identical probes: the incremental engine must fire exactly as

@@ -185,13 +185,11 @@ fn lint_script_accepts_the_clean_inventory_schema() {
 // ---------------------------------------------------------------------
 
 /// Run the inventory workload with and without the append-only marks
-/// and compare every commit's `CheckSummary` across all check levels ×
-/// execution strategies. Pruned networks must be bit-identical in
+/// and compare every commit's `CheckSummary` across all check levels.
+/// Pruned networks must be bit-identical in
 /// observable behaviour (the Δ₋ sets they skip are always empty).
 #[test]
 fn pruned_network_matches_unpruned_check_summaries() {
-    use amos_core::propagate::ExecStrategy;
-
     let run_world = |db: &mut Amos, pruned: bool| -> Vec<amos_core::rules::CheckSummary> {
         let schema = r#"
             create type item;
@@ -240,24 +238,15 @@ fn pruned_network_matches_unpruned_check_summaries() {
     };
 
     for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-        for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
-            let opts = || EngineOptions {
-                propagation: strategy,
-                ..EngineOptions::default()
-            };
-            let mut plain = Amos::with_options(opts());
-            plain.set_check_level(check);
-            let baseline = run_world(&mut plain, false);
+        let mut plain = Amos::new();
+        plain.set_check_level(check);
+        let baseline = run_world(&mut plain, false);
 
-            let mut marked = Amos::with_options(opts());
-            marked.set_check_level(check);
-            let pruned = run_world(&mut marked, true);
+        let mut marked = Amos::new();
+        marked.set_check_level(check);
+        let pruned = run_world(&mut marked, true);
 
-            assert_eq!(
-                baseline, pruned,
-                "summaries diverged at {check:?}/{strategy:?}"
-            );
-        }
+        assert_eq!(baseline, pruned, "summaries diverged at {check:?}");
     }
 }
 

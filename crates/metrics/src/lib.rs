@@ -50,7 +50,9 @@ pub struct DiffTiming {
     pub affected: String,
     /// Network level of the influent node that seeded the run.
     pub level: usize,
-    /// Wall-clock time of plan execution plus checks.
+    /// Wall-clock time of plan execution plus checks. Differentials of
+    /// a threaded level run concurrently, so their times overlap: the
+    /// sum over a pass can exceed [`PassMetrics::nanos`].
     pub nanos: u64,
     /// Tuples produced by the differential before §7.2 checks.
     pub candidates: usize,
@@ -97,17 +99,9 @@ pub struct LevelStats {
     pub wave_tuples: usize,
     /// Differential executions launched from this level.
     pub tasks: usize,
-    /// Whether the level's tasks ran on the parallel path.
+    /// Whether the level's tasks ran on worker threads (the wave was
+    /// large enough to pay for them) rather than inline.
     pub parallel: bool,
-    /// Shards the level's seeds were partitioned into (0 when the pass
-    /// did not run sharded).
-    pub shards: usize,
-    /// Seed tuples owned by the busiest worker of this level (sharded
-    /// passes only) — `max_occupancy / min_occupancy` is the level's
-    /// skew, which totals alone cannot show.
-    pub max_occupancy: u64,
-    /// Seed tuples owned by the idlest worker of this level.
-    pub min_occupancy: u64,
 }
 
 impl LevelStats {
@@ -118,20 +112,17 @@ impl LevelStats {
             .with("wave_tuples", self.wave_tuples)
             .with("tasks", self.tasks)
             .with("parallel", self.parallel)
-            .with("shards", self.shards)
-            .with("max_occupancy", self.max_occupancy)
-            .with("min_occupancy", self.min_occupancy)
     }
 }
 
 /// Summary of one full propagation pass (one check-phase wave).
 #[derive(Debug, Clone, Default)]
 pub struct PassMetrics {
-    /// Execution strategy (`"serial"` or `"parallel"`).
-    pub strategy: String,
     /// Check level the pass ran under (`"raw"`/`"nervous"`/`"strict"`).
     pub check: String,
-    /// Wall-clock time of the whole pass.
+    /// Wall-clock time of the whole pass. On threaded levels the
+    /// per-differential [`DiffTiming::nanos`] overlap, so their sum can
+    /// exceed this figure; the difference is not idle time.
     pub nanos: u64,
     /// Differentials that fired (were recorded in the trace).
     pub fired: usize,
@@ -178,27 +169,12 @@ pub struct PassMetrics {
     /// (lint pass L004: Δ₋ on append-only relations, statically-false
     /// bodies). Constant across passes of the same network.
     pub pruned_differentials: u64,
-    /// Worker count of a sharded pass (0 for serial/parallel passes).
-    pub workers: usize,
-    /// Seed tuples routed through the per-level partitioned exchanges.
-    pub exchange_tuples: u64,
-    /// Seed tuples owned by each shard, summed over levels (empty for
-    /// non-sharded passes).
-    pub shard_seed_tuples: Vec<u64>,
-    /// Candidate tuples produced by each shard's workers, summed over
-    /// levels (empty for non-sharded passes).
-    pub shard_candidates: Vec<u64>,
-    /// Load-balance skew of the pass: busiest shard's seed tuples over
-    /// the per-shard mean (1.0 = perfectly balanced, 0.0 = no seeds or
-    /// not sharded).
-    pub skew: f64,
 }
 
 impl PassMetrics {
     /// Serialize for `BENCH_*.json` and other machine consumers.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object()
-            .with("strategy", self.strategy.as_str())
             .with("check", self.check.as_str())
             .with("nanos", self.nanos)
             .with("fired", self.fired)
@@ -241,27 +217,6 @@ impl PassMetrics {
                 ),
             )
             .with("pruned_differentials", self.pruned_differentials)
-            .with("workers", self.workers)
-            .with("exchange_tuples", self.exchange_tuples)
-            .with(
-                "shard_seed_tuples",
-                JsonValue::Array(
-                    self.shard_seed_tuples
-                        .iter()
-                        .map(|&n| JsonValue::from(n))
-                        .collect(),
-                ),
-            )
-            .with(
-                "shard_candidates",
-                JsonValue::Array(
-                    self.shard_candidates
-                        .iter()
-                        .map(|&n| JsonValue::from(n))
-                        .collect(),
-                ),
-            )
-            .with("skew", self.skew)
     }
 
     /// Human-readable rendering for `explain` output.
@@ -269,8 +224,7 @@ impl PassMetrics {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "propagation pass: strategy={} check={} time={:.3}ms fired={} candidates={} rejected={} tabling_hits={} tabling_misses={}",
-            self.strategy,
+            "propagation pass: check={} time={:.3}ms fired={} candidates={} rejected={} tabling_hits={} tabling_misses={}",
             self.check,
             self.nanos as f64 / 1e6,
             self.fired,
@@ -292,22 +246,11 @@ impl PassMetrics {
             self.fallback_scans,
             self.pruned_differentials
         );
-        if self.workers > 0 {
-            let _ = writeln!(
-                out,
-                "  sharding: workers={} exchange_tuples={} skew={:.2} seed_per_shard={:?} candidates_per_shard={:?}",
-                self.workers,
-                self.exchange_tuples,
-                self.skew,
-                self.shard_seed_tuples,
-                self.shard_candidates
-            );
-        }
         for site in &self.fallback_sites {
             let _ = writeln!(out, "  FALLBACK scan at {site} (no covering index)");
         }
         for lvl in &self.levels {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "  level {}: active_nodes={} wave_tuples={} tasks={} ({})",
                 lvl.level,
@@ -316,14 +259,6 @@ impl PassMetrics {
                 lvl.tasks,
                 if lvl.parallel { "parallel" } else { "serial" }
             );
-            if lvl.shards > 0 {
-                let _ = write!(
-                    out,
-                    " shards={} occupancy={}..{}",
-                    lvl.shards, lvl.min_occupancy, lvl.max_occupancy
-                );
-            }
-            out.push('\n');
         }
         for d in &self.differentials {
             let _ = writeln!(
@@ -353,7 +288,6 @@ mod tests {
 
     fn sample() -> PassMetrics {
         PassMetrics {
-            strategy: "parallel".into(),
             check: "strict".into(),
             nanos: 1_500_000,
             fired: 2,
@@ -367,9 +301,6 @@ mod tests {
                 wave_tuples: 3,
                 tasks: 2,
                 parallel: true,
-                shards: 4,
-                max_occupancy: 2,
-                min_occupancy: 0,
             }],
             differentials: vec![DiffTiming {
                 diff: 7,
@@ -392,18 +323,13 @@ mod tests {
             fallback_scans: 1,
             fallback_sites: vec!["stock[1]".into()],
             pruned_differentials: 2,
-            workers: 4,
-            exchange_tuples: 3,
-            shard_seed_tuples: vec![2, 1, 0, 0],
-            shard_candidates: vec![3, 2, 0, 0],
-            skew: 2.67,
         }
     }
 
     #[test]
     fn json_shape_is_stable() {
         let doc = sample().to_json().to_compact();
-        assert!(doc.starts_with(r#"{"strategy":"parallel","check":"strict","nanos":1500000"#));
+        assert!(doc.starts_with(r#"{"check":"strict","nanos":1500000"#));
         assert!(doc.contains(r#""levels":[{"level":0,"active_nodes":2"#));
         assert!(doc.contains(r#""rejected":1,"#));
         assert!(doc.contains(r#""tabling_hits":4,"tabling_misses":2,"#));
@@ -414,17 +340,13 @@ mod tests {
         assert!(doc.contains(r#""delta_scans":1,"merge_joins":1,"#));
         assert!(doc.contains(r#""fallback_scans":1,"fallback_sites":["stock[1]"]"#));
         assert!(doc.contains(r#""pruned_differentials":2"#));
-        assert!(doc.contains(r#""shards":4,"max_occupancy":2,"min_occupancy":0"#));
-        assert!(doc.contains(r#""workers":4,"exchange_tuples":3,"#));
-        assert!(doc.contains(r#""shard_seed_tuples":[2,1,0,0]"#));
-        assert!(doc.contains(r#""shard_candidates":[3,2,0,0]"#));
-        assert!(doc.contains(r#""skew":2.67"#));
+        assert!(doc.contains(r#""tasks":2,"parallel":true}"#));
     }
 
     #[test]
     fn render_mentions_every_section() {
         let text = sample().render();
-        assert!(text.contains("strategy=parallel"));
+        assert!(text.contains("check=strict"));
         assert!(text.contains("tabling_hits=4"));
         assert!(text.contains("level 0: active_nodes=2"));
         assert!(text.contains("accepted=4 rejected=1"));
@@ -434,8 +356,7 @@ mod tests {
         assert!(text.contains("pruned_differentials=2"));
         assert!(text.contains("est-rows=4.50 actual=5"));
         assert!(text.contains("FALLBACK scan at stock[1]"));
-        assert!(text.contains("sharding: workers=4 exchange_tuples=3 skew=2.67"));
-        assert!(text.contains("shards=4 occupancy=0..2"));
+        assert!(text.contains("tasks=2 (parallel)"));
     }
 
     #[test]

@@ -71,7 +71,10 @@ fn explain_rule_reports_pass_metrics() {
 
     let out = text(db.execute("explain rule low;").unwrap());
     assert!(out.contains("last propagation pass:"), "{out}");
-    assert!(out.contains("strategy=parallel check=nervous"), "{out}");
+    assert!(out.contains("propagation pass: check=nervous"), "{out}");
+    // A one-item commit's wave is far below the threading gate.
+    assert!(out.contains("tasks=6 (serial)"), "{out}");
+    assert!(!out.contains("(parallel)"), "{out}");
     assert!(out.contains("candidates="), "{out}");
     assert!(out.contains("Δcnd_low/Δ+quantity"), "{out}");
 
