@@ -31,6 +31,7 @@ use amos_bench::{time_secs, SCHEMA};
 use amos_db::engine::NetworkPrep;
 use amos_db::{Amos, EngineOptions, Value};
 use amos_metrics::{JsonValue, PassMetrics};
+use amos_objectlog::eval::EvalConfig;
 use amos_storage::RelId;
 use amos_types::Oid;
 
@@ -51,8 +52,11 @@ struct World {
 fn build(prep: NetworkPrep, n_rules: usize, tabling: bool) -> World {
     let mut db = Amos::with_options(EngineOptions {
         network_prep: prep,
-        tabling,
         ..Default::default()
+    });
+    db.rules_mut().set_eval_config(EvalConfig {
+        tabling,
+        ..EvalConfig::default()
     });
     db.register_procedure("order", |_ctx, _| Ok(()));
     db.register_procedure("noop", |_ctx, _| Ok(()));

@@ -19,6 +19,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use amos_lint::absint::Analysis;
 use amos_objectlog::catalog::{Catalog, PredId, PredKind};
 use amos_storage::{Polarity, Storage};
 
@@ -69,13 +70,14 @@ pub struct PropagationNetwork {
     levels: Vec<Vec<NodeId>>,
     /// The condition predicates, in registration order.
     conditions: Vec<PredId>,
-    /// Display names of differentials pruned as statically dead (Δ₋ on
-    /// append-only relations, statically-false bodies) — lint pass L004.
+    /// Display names of differentials pruned as provably empty: Δ₋ edges
+    /// from append-only relations (lint pass L004) and bodies the
+    /// abstract interpreter proves empty (lint pass L007).
     pruned: Vec<String>,
-    /// Display names of differentials pruned because abstract
-    /// interpretation proved their body empty — lint pass L007. Disjoint
-    /// from `pruned` (syntactic pruning runs first).
-    pruned_semantic: Vec<String>,
+    /// The whole-catalog abstract interpretation the network was pruned
+    /// under; the rule manager derives the planner's static NDV bounds
+    /// from it.
+    analysis: Analysis,
 }
 
 impl PropagationNetwork {
@@ -86,30 +88,17 @@ impl PropagationNetwork {
     /// this call — flat style — or remain and become intermediate
     /// nodes). Differentials are generated for every derived node with
     /// respect to its direct influent nodes, compiled, and their probe
-    /// indexes created in `storage`.
+    /// indexes created in `storage`. Differentials that provably never
+    /// carry tuples are pruned.
     pub fn build(
         catalog: &Catalog,
         storage: &mut Storage,
         conditions: &[PredId],
         scope: DiffScope,
     ) -> Result<Self, CoreError> {
-        PropagationNetwork::build_with(catalog, storage, conditions, scope, true)
-    }
-
-    /// [`PropagationNetwork::build`] with semantic (L007) pruning made
-    /// explicit. `semantic: false` keeps only the syntactic L004 pruning
-    /// — the ablation knob the pruning-equivalence proptest flips to
-    /// compare pruned and unpruned networks.
-    pub fn build_with(
-        catalog: &Catalog,
-        storage: &mut Storage,
-        conditions: &[PredId],
-        scope: DiffScope,
-        semantic: bool,
-    ) -> Result<Self, CoreError> {
-        let analysis = semantic.then(|| amos_lint::absint::analyze(catalog));
         let mut net = PropagationNetwork {
             conditions: conditions.to_vec(),
+            analysis: amos_lint::absint::analyze(catalog),
             ..Default::default()
         };
 
@@ -170,34 +159,21 @@ impl PropagationNetwork {
             }
             let diffs = generate_differentials(catalog, storage, pred, &node_preds, scope)?;
             for d in diffs {
-                // L004 dead-differential pruning: a Δ₋-seeded edge from a
-                // stored append-only relation can never carry tuples (its
-                // minus Δ-set is empty by contract), and a differential
-                // whose body is statically false can never produce any.
-                // Dropping them here keeps the propagation loop from
-                // scheduling provably empty work. With no append-only
-                // declarations this is a strict no-op.
+                // Dead-differential pruning: a Δ₋-seeded edge from an
+                // append-only stored relation carries no tuples (its minus
+                // Δ-set is empty by contract — L004), and a body the
+                // abstract interpreter proves empty produces none (L007,
+                // which subsumes statically false constant comparisons).
+                // Both are sound, so dropping them preserves propagation
+                // semantics exactly.
                 let dead_minus = d.seed == Polarity::Minus
                     && catalog
                         .def(d.influent)
                         .stored_rel()
                         .is_some_and(|rel| storage.is_append_only(rel));
-                if dead_minus || amos_lint::clause_statically_false(&d.clause) {
+                if dead_minus || net.analysis.clause_provably_empty(catalog, &d.clause) {
                     net.pruned.push(d.display_name(catalog));
                     continue;
-                }
-                // L007 semantic pruning: the abstract interpreter can
-                // prove bodies empty that no single-clause syntactic
-                // check sees (e.g. a bound contradicting an influent's
-                // inferred head interval). Sound — an empty differential
-                // can never contribute tuples — so dropping it preserves
-                // propagation semantics exactly (see the
-                // pruning-equivalence proptest).
-                if let Some(analysis) = &analysis {
-                    if analysis.clause_provably_empty(catalog, &d.clause) {
-                        net.pruned_semantic.push(d.display_name(catalog));
-                        continue;
-                    }
                 }
                 let did = DiffId(net.differentials.len() as u32);
                 let influent_node = net.by_pred[&d.influent];
@@ -238,25 +214,25 @@ impl PropagationNetwork {
         &self.conditions
     }
 
-    /// Display names of differentials pruned as statically dead (L004).
+    /// Display names of the differentials pruned as provably empty.
     pub fn pruned(&self) -> &[String] {
         &self.pruned
     }
 
-    /// Number of differentials pruned as statically dead.
+    /// Number of differentials pruned as provably empty.
     pub fn pruned_count(&self) -> usize {
         self.pruned.len()
     }
 
-    /// Display names of differentials pruned as provably empty by
-    /// abstract interpretation (L007).
-    pub fn pruned_semantic(&self) -> &[String] {
-        &self.pruned_semantic
+    /// The abstract interpretation the network was pruned under.
+    pub(crate) fn analysis(&self) -> &Analysis {
+        &self.analysis
     }
 
     /// Drop differential `id` from the network, as if the builder had
     /// forgotten to emit it. Testing hook for the conformance verifier's
-    /// mutation tests — never called by production code.
+    /// mutation tests and the `fault-injection` dropped-differential
+    /// fault — never called by production builds.
     #[doc(hidden)]
     pub fn testing_remove_differential(&mut self, id: DiffId) {
         let idx = id.0 as usize;

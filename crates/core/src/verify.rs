@@ -10,8 +10,9 @@
 //!
 //! * **edge completeness** — exactly one differential per (affected,
 //!   influent occurrence, seed polarity) required by the differencing
-//!   scope, minus those the static pruning passes (L004 syntactic, L007
-//!   semantic) are entitled to drop; nothing extra, nothing doubled;
+//!   scope, minus those the pruning passes (L004 dead Δ₋ edges, L007
+//!   provably empty bodies) are entitled to drop; nothing extra, nothing
+//!   doubled;
 //! * **substitution fidelity** — each differential's clause and output
 //!   polarity equal the §4.3–§4.5 substitution recomputed from source;
 //! * **monotone levels** — every node sits at its catalog stratum and
@@ -145,19 +146,19 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Statically check `net` against the calculus. `scope` and `semantic`
-/// must be the values the network was built with (they determine which
-/// differentials are required and which the pruning passes may drop).
+/// Statically check `net` against the calculus. `scope` must be the
+/// value the network was built with (it determines which differentials
+/// are required). The pruning entitlements are re-derived from an
+/// analysis of `catalog` independent of the one the builder ran.
 /// Returns every violation found — empty means the network conforms.
 pub fn verify_network(
     catalog: &Catalog,
     storage: &Storage,
     net: &PropagationNetwork,
     scope: DiffScope,
-    semantic: bool,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let analysis = semantic.then(|| amos_lint::absint::analyze(catalog));
+    let analysis = amos_lint::absint::analyze(catalog);
 
     // Reachability: every predicate a condition depends on needs a node
     // at its catalog stratum.
@@ -229,13 +230,8 @@ pub fn verify_network(
                             .def(*pred)
                             .stored_rel()
                             .is_some_and(|rel| storage.is_append_only(rel));
-                    if dead_minus || amos_lint::clause_statically_false(&dclause) {
+                    if dead_minus || analysis.clause_provably_empty(catalog, &dclause) {
                         continue;
-                    }
-                    if let Some(analysis) = &analysis {
-                        if analysis.clause_provably_empty(catalog, &dclause) {
-                            continue;
-                        }
                     }
                     required.insert((affected, *pred, seed, ci, li), dclause);
                 }
@@ -365,7 +361,7 @@ mod tests {
             .unwrap();
         let net = PropagationNetwork::build(&cat, &mut storage, &[cnd], DiffScope::Full).unwrap();
         assert_eq!(
-            verify_network(&cat, &storage, &net, DiffScope::Full, true),
+            verify_network(&cat, &storage, &net, DiffScope::Full),
             Vec::new()
         );
         // InsertionsOnly-built networks verify under their own scope but
@@ -373,13 +369,9 @@ mod tests {
         let net_ins =
             PropagationNetwork::build(&cat, &mut storage, &[cnd], DiffScope::InsertionsOnly)
                 .unwrap();
-        assert!(
-            verify_network(&cat, &storage, &net_ins, DiffScope::InsertionsOnly, true).is_empty()
-        );
-        assert!(
-            verify_network(&cat, &storage, &net_ins, DiffScope::Full, true)
-                .iter()
-                .all(|v| matches!(v, Violation::MissingDifferential { .. }))
-        );
+        assert!(verify_network(&cat, &storage, &net_ins, DiffScope::InsertionsOnly).is_empty());
+        assert!(verify_network(&cat, &storage, &net_ins, DiffScope::Full)
+            .iter()
+            .all(|v| matches!(v, Violation::MissingDifferential { .. })));
     }
 }

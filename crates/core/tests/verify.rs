@@ -57,7 +57,7 @@ fn uncorrupted_network_verifies() {
     let (mut storage, cat, cnd) = fixture();
     let net = build(&mut storage, &cat, cnd);
     assert_eq!(
-        verify_network(&cat, &storage, &net, DiffScope::Full, true),
+        verify_network(&cat, &storage, &net, DiffScope::Full),
         Vec::new()
     );
 }
@@ -67,7 +67,7 @@ fn dropped_differential_is_caught() {
     let (mut storage, cat, cnd) = fixture();
     let mut net = build(&mut storage, &cat, cnd);
     net.testing_remove_differential(DiffId(0));
-    let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+    let violations = verify_network(&cat, &storage, &net, DiffScope::Full);
     assert!(
         violations
             .iter()
@@ -88,7 +88,7 @@ fn duplicated_differential_is_caught() {
     let (mut storage, cat, cnd) = fixture();
     let mut net = build(&mut storage, &cat, cnd);
     net.testing_duplicate_differential(DiffId(0));
-    let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+    let violations = verify_network(&cat, &storage, &net, DiffScope::Full);
     assert!(
         violations
             .iter()
@@ -112,7 +112,7 @@ fn bad_level_is_caught() {
     let mut net = build(&mut storage, &cat, cnd);
     let thr = cat.lookup("thr").unwrap();
     net.testing_set_node_level(thr, 5);
-    let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+    let violations = verify_network(&cat, &storage, &net, DiffScope::Full);
     assert!(
         violations.iter().any(|v| matches!(
             v,
@@ -147,7 +147,7 @@ fn corruption_diagnostics_are_distinct() {
             1 => net.testing_duplicate_differential(DiffId(0)),
             _ => net.testing_set_node_level(cat.lookup("thr").unwrap(), 5),
         }
-        let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+        let violations = verify_network(&cat, &storage, &net, DiffScope::Full);
         assert!(!violations.is_empty(), "mutation {mutation} not caught");
         renderings.push(violations[0].to_string());
     }

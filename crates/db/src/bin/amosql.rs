@@ -32,8 +32,8 @@ Shell commands:
   .checkpoint           snapshot base relations + truncate the WAL
   .quit                 exit
 Flags: --wal-dir <dir> makes commits durable (replays any existing
-snapshot + WAL from <dir> on startup); --static-plans disables
-statistics-driven adaptive differential planning.
+snapshot + WAL from <dir> on startup). Derived-call tabling, adaptive
+differential planning and semantic pruning are always on.
 Subcommands: `amosql lint [--deny-lints] [--format text|json]
 <file.osql>...` statically analyzes scripts (safety, stratification,
 termination, dead differentials, unsatisfiable conditions, type
@@ -96,9 +96,8 @@ fn main() -> io::Result<()> {
                     }
                 }
             }
-            "--static-plans" => db.set_adaptive_planning(false),
             other => {
-                eprintln!("unknown flag `{other}` (supported: --wal-dir <dir>, --static-plans)");
+                eprintln!("unknown flag `{other}` (supported: --wal-dir <dir>)");
                 std::process::exit(2);
             }
         }

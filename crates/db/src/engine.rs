@@ -16,7 +16,7 @@ use amos_core::rules::{
 };
 use amos_lint::{Diagnostic, LintConfig, RuleFacts, RuleWrite, Span};
 use amos_objectlog::catalog::{Catalog, ForeignFn, PredId, PredKind};
-use amos_objectlog::eval::{DeltaMap, EvalConfig, EvalContext};
+use amos_objectlog::eval::{DeltaMap, EvalContext};
 use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
 use amos_storage::{
@@ -51,12 +51,6 @@ pub struct EngineOptions {
     /// update statement instead of deferring to commit. The calculus is
     /// identical; only the check-phase timing changes.
     pub immediate: bool,
-    /// Per-pass tabling of derived-call results (on by default; the
-    /// `--no-tabling` bench flag disables it for ablation runs).
-    pub tabling: bool,
-    /// Statistics-driven adaptive differential planning (on by default;
-    /// the `--static-plans` bench flag pins activation-time plans).
-    pub adaptive: bool,
     /// Per-code lint severities. `activate` refuses a rule whose lint
     /// findings include a deny-level diagnostic (L001/L002 by default);
     /// warn-level findings surface in `explain rule` and the `lint`
@@ -68,13 +62,6 @@ pub struct EngineOptions {
     /// share one group fsync. Disable (`--no-pipeline` on the server)
     /// to restore fsync-under-lock commits.
     pub commit_pipeline: bool,
-    /// Abstract-interpretation pruning (on by default): differentials
-    /// whose differenced clause is provably empty under the interval /
-    /// constant analysis (L007) are dropped from the network, and the
-    /// inferred column bounds feed the adaptive planner as static NDV
-    /// floors. The conformance verifier mirrors the same entitlements,
-    /// so pruned networks still verify.
-    pub semantic_pruning: bool,
 }
 
 impl Default for EngineOptions {
@@ -83,11 +70,8 @@ impl Default for EngineOptions {
             network_prep: NetworkPrep::default(),
             default_semantics: RuleSemantics::default(),
             immediate: false,
-            tabling: true,
-            adaptive: true,
             lint_level: LintConfig::default(),
             commit_pipeline: true,
-            semantic_pruning: true,
         }
     }
 }
@@ -147,7 +131,8 @@ pub struct Amos {
     views: Vec<ViewReg>,
     rule_lint: Vec<RuleLintInfo>,
     fn_spans: HashMap<String, Span>,
-    /// Options (network style, default semantics).
+    /// Options. Each is read where it is used, so a change takes effect
+    /// from the next statement that consults it.
     pub options: EngineOptions,
 }
 
@@ -165,22 +150,11 @@ impl Amos {
 
     /// A fresh database with the given options.
     pub fn with_options(options: EngineOptions) -> Self {
-        let mut rules = RuleManager::new();
-        if !options.tabling {
-            rules.set_eval_config(EvalConfig {
-                tabling: false,
-                ..EvalConfig::default()
-            });
-        }
-        if !options.adaptive {
-            rules.set_adaptive(false);
-        }
-        rules.semantic_pruning = options.semantic_pruning;
         Amos {
             storage: Storage::new(),
             catalog: Catalog::new(),
             types: TypeRegistry::new(),
-            rules,
+            rules: RuleManager::new(),
             extents: HashMap::new(),
             iface: HashMap::new(),
             procedures: Arc::new(Mutex::new(HashMap::new())),
@@ -353,24 +327,6 @@ impl Amos {
         self.rules.check = level;
     }
 
-    /// Enable/disable per-pass tabling of derived-call results (the
-    /// `--no-tabling` ablation). Takes effect from the next pass.
-    pub fn set_tabling(&mut self, on: bool) {
-        self.options.tabling = on;
-        self.rules.set_eval_config(EvalConfig {
-            tabling: on,
-            ..self.rules.eval_config()
-        });
-    }
-
-    /// Enable/disable statistics-driven adaptive differential planning
-    /// (the `--static-plans` ablation). Takes effect from the next pass;
-    /// disabling drops the plan cache.
-    pub fn set_adaptive_planning(&mut self, on: bool) {
-        self.options.adaptive = on;
-        self.rules.set_adaptive(on);
-    }
-
     /// Instrumentation of the most recent propagation pass, if any.
     pub fn last_pass_metrics(&self) -> Option<&amos_metrics::PassMetrics> {
         self.rules.last_metrics()
@@ -408,7 +364,7 @@ impl Amos {
     }
 
     /// Mutable access to the rule manager (ablation benches flip check
-    /// levels and scopes).
+    /// levels, scopes and the evaluator's tabling).
     pub fn rules_mut(&mut self) -> &mut RuleManager {
         &mut self.rules
     }
@@ -796,7 +752,6 @@ impl Amos {
                     &self.storage,
                     self.rules.network(),
                     self.rules.scope,
-                    self.options.semantic_pruning,
                 );
                 if !violations.is_empty() {
                     self.rules

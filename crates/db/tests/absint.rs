@@ -1,15 +1,18 @@
 //! Integration tests for the abstract-interpretation layer: the
 //! L006–L009 passes surfacing through `lint_script` (snapshot-style
-//! rendered output), semantic (L007) differential pruning being
-//! observationally invisible across check levels × execution
-//! strategies, the activation-time conformance gate, and the
+//! rendered output), soundness of semantic (L007) differential pruning
+//! across check levels, the activation-time conformance gate, and the
 //! `monitor rule … naive|incremental|auto` strategy pin.
 
+use std::collections::HashSet;
+
+use amos_core::differ::{generate_differentials, Differential};
 use amos_core::hybrid::Strategy;
 use amos_db::engine::NetworkPrep;
-use amos_db::{
-    Amos, CheckLevel, DbError, EngineOptions, LintCode, LintConfig, MonitorMode, Severity,
-};
+use amos_db::{Amos, CheckLevel, EngineOptions, LintCode, LintConfig, MonitorMode, Severity};
+use amos_objectlog::catalog::{PredId, PredKind};
+use amos_objectlog::eval::{DeltaMap, EvalContext};
+use amos_storage::{DeltaSet, StateEpoch};
 use proptest::prelude::*;
 
 fn quiet(db: &mut Amos) {
@@ -23,8 +26,7 @@ fn quiet(db: &mut Amos) {
 /// `band(i) > 100` never holds — but no single clause is syntactically
 /// contradictory, keeping L005 out of the picture. Bushy preparation
 /// keeps `band` as a network sub-node instead of inlining it (inlined,
-/// the contradiction becomes syntactic and the L005 pruning path
-/// fires instead).
+/// the contradiction becomes syntactic).
 const BANDED: &str = r#"
     create type item;
     create function quantity(item i) -> integer;
@@ -36,10 +38,9 @@ const BANDED: &str = r#"
         do print(i);
 "#;
 
-fn banded_db(semantic: bool) -> Amos {
+fn banded_db() -> Amos {
     let mut db = Amos::with_options(EngineOptions {
         network_prep: NetworkPrep::Bushy,
-        semantic_pruning: semantic,
         ..EngineOptions::default()
     });
     quiet(&mut db);
@@ -48,51 +49,116 @@ fn banded_db(semantic: bool) -> Amos {
 }
 
 // ---------------------------------------------------------------------
-// Semantic pruning prunes — and is observationally invisible
+// Semantic pruning prunes — and is sound
 // ---------------------------------------------------------------------
 
 #[test]
 fn semantic_pruning_drops_provably_empty_differentials() {
-    let mut db = banded_db(true);
+    let mut db = banded_db();
     db.execute("create item instances :a; activate watch();")
         .unwrap();
-    let pruned = db.rules().network().pruned_semantic();
+    let net = db.rules().network();
     assert!(
-        !pruned.is_empty(),
-        "expected semantically pruned differentials, network:\n{}",
-        db.rules().network().render(db.catalog())
+        net.pruned().iter().any(|name| name.contains("/Δ+band")),
+        "expected Δwatch/Δ+band to be pruned, pruned {:?}, network:\n{}",
+        net.pruned(),
+        net.render(db.catalog())
     );
+    let pruned = net.pruned_count();
+    assert_eq!(pruned_differentials(&mut db).len(), pruned);
+}
 
-    let mut db = banded_db(false);
-    db.execute("create item instances :a; activate watch();")
+/// The differentials the calculus calls for but the builder pruned:
+/// the full set from [`generate_differentials`] minus the network's.
+fn pruned_differentials(db: &mut Amos) -> Vec<Differential> {
+    let net = db.rules().network().clone();
+    let catalog = db.catalog().clone();
+    let scope = db.rules().scope;
+    let key = |d: &Differential| {
+        (
+            d.affected,
+            d.influent,
+            d.seed,
+            d.clause_index,
+            d.literal_index,
+        )
+    };
+    let kept: HashSet<_> = net.differentials().iter().map(key).collect();
+    let node_preds: HashSet<PredId> = net.nodes().iter().map(|n| n.pred).collect();
+    let mut pruned = Vec::new();
+    for node in net.nodes() {
+        if !matches!(catalog.def(node.pred).kind, PredKind::Derived(_)) {
+            continue;
+        }
+        let all = generate_differentials(&catalog, db.storage_mut(), node.pred, &node_preds, scope)
+            .unwrap();
+        pruned.extend(all.into_iter().filter(|d| !kept.contains(&key(d))));
+    }
+    pruned
+}
+
+/// Tuples the `pruned` differentials produce when evaluated directly
+/// against the open transaction's exact Δ-sets: new minus old state of
+/// every node predicate, derived nodes included.
+fn pruned_output(db: &Amos, pruned: &[Differential]) -> usize {
+    let (catalog, storage) = (db.catalog(), db.storage());
+    let no_deltas = DeltaMap::new();
+    let states = EvalContext::new(storage, catalog, &no_deltas);
+    let mut deltas = DeltaMap::new();
+    for node in db.rules().network().nodes() {
+        let all = vec![None; catalog.def(node.pred).arity];
+        let new = states.eval_pred(node.pred, &all, StateEpoch::New).unwrap();
+        let old = states.eval_pred(node.pred, &all, StateEpoch::Old).unwrap();
+        let delta = DeltaSet::from_parts(
+            new.difference(&old).cloned().collect(),
+            old.difference(&new).cloned().collect(),
+        );
+        deltas.insert(node.pred, delta);
+    }
+    let ctx = EvalContext::new(storage, catalog, &deltas);
+    let mut produced = 0;
+    for d in pruned {
+        let bindings = vec![None; d.plan.n_vars as usize];
+        ctx.run_plan(&d.plan, bindings, StateEpoch::New, 0, &mut |_, _| {
+            produced += 1;
+            Ok(())
+        })
         .unwrap();
-    assert!(db.rules().network().pruned_semantic().is_empty());
+    }
+    produced
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// L007 pruning must be invisible: run a random update workload
-    /// with and without semantic pruning and compare every commit's
-    /// `CheckSummary` across all check levels.
+    /// L007 pruning is sound, judged by two oracles that need no
+    /// unpruned network: (a) at Nervous and Strict every commit's
+    /// `CheckSummary` equals the naive monitor's on the same workload;
+    /// (b) at every check level, every pruned differential yields zero
+    /// tuples against each transaction's exact Δ-sets.
     #[test]
     fn semantic_pruning_preserves_semantics(
         updates in proptest::collection::vec((0usize..3, -20i64..120), 1..8),
     ) {
-        let run = |semantic: bool, check: CheckLevel| {
-            let mut db = banded_db(semantic);
+        let run = |mode: MonitorMode, check: CheckLevel| {
+            let mut db = banded_db();
+            db.set_monitor_mode(mode);
             db.set_check_level(check);
             db.execute("create item instances :a, :b, :c; activate watch();")
                 .unwrap();
+            let pruned = pruned_differentials(&mut db);
+            assert!(!pruned.is_empty(), "BANDED must prune");
             let mut summaries = Vec::new();
             for (slot, value) in &updates {
                 let var = ["a", "b", "c"][*slot];
-                let results = db
-                    .execute(&format!(
-                        "begin; set quantity(:{var}) = {value}; commit;"
-                    ))
+                db.execute(&format!("begin; set quantity(:{var}) = {value};"))
                     .unwrap();
-                for r in results {
+                assert_eq!(
+                    pruned_output(&db, &pruned),
+                    0,
+                    "a pruned differential produced tuples ({mode:?}, {check:?})"
+                );
+                for r in db.execute("commit;").unwrap() {
                     if let amos_db::ExecResult::Committed(s) = r {
                         summaries.push(s);
                     }
@@ -100,10 +166,13 @@ proptest! {
             }
             summaries
         };
-        for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let unpruned = run(false, check);
-            let pruned = run(true, check);
-            prop_assert_eq!(&unpruned, &pruned, "summaries diverged at {:?}", check);
+        // Raw skips the §7.2 checks and may misreport, so it has no naive
+        // oracle; the run still applies oracle (b).
+        run(MonitorMode::Incremental, CheckLevel::Raw);
+        for check in [CheckLevel::Nervous, CheckLevel::Strict] {
+            let naive = run(MonitorMode::Naive, check);
+            let incremental = run(MonitorMode::Incremental, check);
+            prop_assert_eq!(&naive, &incremental, "summaries diverged at {:?}", check);
         }
     }
 }
@@ -126,18 +195,22 @@ fn inventory_schema_passes_the_conformance_gate() {
         db.storage(),
         db.rules().network(),
         db.rules().scope,
-        true,
     );
     assert!(violations.is_empty(), "{violations:?}");
 }
 
-/// Build the network with semantic pruning but verify without the
-/// matching entitlement: the gate must report the pruned differentials
-/// as missing, refuse the activation, and roll it back.
+/// A network build that loses one differential (an injected builder
+/// fault): the gate must report it as missing, refuse the activation,
+/// and roll it back. The fault is one-shot, so once it is spent the
+/// same rule activates fine.
+#[cfg(feature = "fault-injection")]
 #[test]
 fn conformance_gate_rolls_back_a_refused_activation() {
-    let mut db = banded_db(true);
-    db.options.semantic_pruning = false; // verifier loses the entitlement
+    use amos_db::DbError;
+    use amos_storage::fault::FaultPlan;
+
+    let mut db = banded_db();
+    db.set_fault_plan(std::sync::Arc::new(FaultPlan::drop_differential()));
     db.execute("create item instances :a;").unwrap();
     let err = db.execute("activate watch();").unwrap_err();
     let DbError::Conformance(violations) = err else {
@@ -152,9 +225,8 @@ fn conformance_gate_rolls_back_a_refused_activation() {
         !db.rules().rule(id).is_active(),
         "refused activation must be rolled back"
     );
-    // With consistent entitlements the same rule activates fine.
-    db.options.semantic_pruning = true;
     db.execute("activate watch();").unwrap();
+    assert!(db.rules().rule(id).is_active());
 }
 
 // ---------------------------------------------------------------------

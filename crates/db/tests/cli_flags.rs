@@ -41,9 +41,15 @@ fn unknown_flag_exits_2_naming_the_supported_ones() {
     let (code, stdout, stderr) = run_amosql(&["--turbo", "on"]);
     assert_eq!(code, 2);
     assert!(stderr.contains("unknown flag `--turbo`"), "{stderr}");
-    assert!(
-        stderr.contains("--wal-dir <dir>, --static-plans"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("(supported: --wal-dir <dir>)"), "{stderr}");
     assert!(!stdout.contains("interactive shell"), "{stdout}");
+}
+
+/// Adaptive planning has no switch: `--static-plans` is rejected like
+/// any other unknown flag.
+#[test]
+fn static_plans_flag_is_rejected() {
+    let (code, _stdout, stderr) = run_amosql(&["--static-plans"]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("unknown flag `--static-plans`"), "{stderr}");
 }

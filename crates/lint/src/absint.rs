@@ -287,7 +287,7 @@ impl PredAbs {
 // ---------------------------------------------------------------------
 
 /// Result of a whole-catalog analysis: one [`PredAbs`] per predicate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Analysis {
     preds: HashMap<PredId, PredAbs>,
 }
@@ -2250,5 +2250,72 @@ mod tests {
         let analysis = analyze(&cat);
         assert!(!analysis.pred(frac).unwrap().empty);
         assert!(!analysis.clause_provably_empty(&cat, &cat.def(frac).clauses().unwrap()[0]));
+    }
+    /// L007 subsumes L004's syntactic check: on constant/constant `Cmp`
+    /// and `Unify` bodies, for every operator and every pair of value
+    /// types, [`clause_statically_false`] and
+    /// [`Analysis::clause_provably_empty`] agree. The network builder and
+    /// the conformance verifier therefore consult only the latter.
+    #[test]
+    fn provably_empty_subsumes_statically_false_on_constants() {
+        use amos_types::Oid;
+        let values = [
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-3),
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Real(0.0),
+            Value::Real(7.0),
+            Value::Real(-2.5),
+            Value::str(""),
+            Value::str("abc"),
+            Value::str("abd"),
+            Value::Oid(Oid::from_raw(1)),
+            Value::Oid(Oid::from_raw(2)),
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let (cat, _types, q) = typed_cat();
+        let analysis = analyze(&cat);
+        let mut false_bodies = 0;
+        for a in &values {
+            for b in &values {
+                let mut bodies: Vec<ClauseBuilder> = ops
+                    .iter()
+                    .map(|&op| {
+                        ClauseBuilder::new(2).cmp(Term::val(a.clone()), op, Term::val(b.clone()))
+                    })
+                    .collect();
+                bodies
+                    .push(ClauseBuilder::new(2).unify(Term::val(a.clone()), Term::val(b.clone())));
+                for body in bodies {
+                    // Alone, and behind a relation literal (the shape of a
+                    // differential body).
+                    let bare = body.clone().head([Term::var(0)]).build();
+                    let joined = body
+                        .head([Term::var(0)])
+                        .pred(q, [Term::var(0), Term::var(1)])
+                        .build();
+                    for c in [bare, joined] {
+                        let syntactic = clause_statically_false(&c);
+                        false_bodies += usize::from(syntactic);
+                        assert!(
+                            !syntactic || analysis.clause_provably_empty(&cat, &c),
+                            "L004 prunes but L007 does not: {c:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(false_bodies > 0, "the sweep must exercise false bodies");
     }
 }

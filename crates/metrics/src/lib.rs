@@ -165,9 +165,10 @@ pub struct PassMetrics {
     /// The distinct `relation[cols]` sites behind `fallback_scans`,
     /// drained once per pass.
     pub fallback_sites: Vec<String>,
-    /// Differentials statically pruned from the network at activation
-    /// (lint pass L004: Δ₋ on append-only relations, statically-false
-    /// bodies). Constant across passes of the same network.
+    /// Differentials pruned from the network at activation as provably
+    /// empty (L004: Δ₋ on append-only relations; L007: bodies abstract
+    /// interpretation proves empty). Constant across passes of the same
+    /// network.
     pub pruned_differentials: u64,
 }
 

@@ -30,7 +30,8 @@ use crate::plan::{compile_clause, Plan, PlanStep};
 pub type DeltaMap = HashMap<PredId, DeltaSet>;
 
 /// Tunable evaluation knobs, kept separate from the per-query context so
-/// ablation runs (`--no-tabling`) can toggle them in one place.
+/// ablation runs (the tabled-vs-untabled benches and proptest) can
+/// toggle them in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Memoize derived-predicate call results for the lifetime of the

@@ -1,20 +1,23 @@
 //! Deterministic fault injection for durability and rule-failure tests.
 //!
 //! A [`FaultPlan`] describes *one* scheduled fault — a WAL crash, a short
-//! (torn) write, a transient I/O error, or a failing/panicking rule
-//! action — plus the shared counters the hooks consult to decide when it
-//! fires. Plans are either built explicitly or derived deterministically
+//! (torn) write, a transient I/O error, a failing/panicking rule action,
+//! or a network build that loses a differential — plus the shared
+//! counters the hooks consult to decide when it fires. Plans are either built explicitly or derived deterministically
 //! from a seed with [`FaultPlan::from_seed`], so every CI run injects the
 //! same faults and every failure reproduces locally from the seed alone.
 //!
 //! The whole module is compiled only under the `fault-injection` feature;
-//! production builds carry none of the hooks. Hooks live in three places,
+//! production builds carry none of the hooks. Hooks live in four places,
 //! mirroring where real systems fail:
 //!
 //! * the WAL writer ([`crate::wal::WalWriter`]) — crash-after-record-N,
 //!   short writes, injected I/O errors;
 //! * `amos-core`'s `propagate.rs` — a propagation pass that errors out;
-//! * `amos-core`'s `rules.rs` — a rule action that errors or panics.
+//! * `amos-core`'s `rules.rs` — a rule action that errors or panics;
+//! * `amos-core`'s network rebuild — a compiled network missing one
+//!   differential, which the activation-time conformance gate must
+//!   refuse.
 //!
 //! Counters use atomics so one `Arc<FaultPlan>` can be shared between the
 //! storage layer and the rule layer of the same engine.
@@ -82,12 +85,15 @@ pub struct FaultPlan {
     action: Option<ActionFault>,
     /// Fail the n-th propagation pass (1-based) with an injected error.
     fail_propagation_pass: Option<u64>,
+    /// Drop one differential from the next non-empty network rebuild.
+    drop_differential: bool,
     // -- shared firing state --
     records_written: AtomicU64,
     passes_started: AtomicU64,
     crashed: AtomicBool,
     action_fired: AtomicBool,
     propagation_fired: AtomicBool,
+    drop_fired: AtomicBool,
     io_error_fired: AtomicBool,
     torn_write_fired: AtomicBool,
 }
@@ -121,6 +127,15 @@ impl FaultPlan {
     pub fn propagation(pass: u64) -> Self {
         FaultPlan {
             fail_propagation_pass: Some(pass),
+            ..FaultPlan::default()
+        }
+    }
+
+    /// A plan that drops one differential from the next network rebuild
+    /// that has any, as if the builder had forgotten to emit it.
+    pub fn drop_differential() -> Self {
+        FaultPlan {
+            drop_differential: true,
             ..FaultPlan::default()
         }
     }
@@ -216,6 +231,12 @@ impl FaultPlan {
         let pass = self.passes_started.fetch_add(1, Ordering::SeqCst) + 1;
         matches!(self.fail_propagation_pass, Some(p) if p == pass)
             && !self.propagation_fired.swap(true, Ordering::SeqCst)
+    }
+
+    /// One-shot: should the network just rebuilt lose a differential?
+    /// Call only for rebuilds that produced at least one.
+    pub fn take_dropped_differential(&self) -> bool {
+        self.drop_differential && !self.drop_fired.swap(true, Ordering::SeqCst)
     }
 }
 
